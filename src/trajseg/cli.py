@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,13 +47,84 @@ def _load_config(path, allowed, defaults=None):
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    for key in data:
+    for key, value in data.items():
         if key not in allowed:
             raise ConfigError(f"unknown config key {key!r}")
+        check, expected = VALUE_TYPES.get(key, (None, None))
+        if check is not None and not check(value):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
     merged = dict(defaults or {})
     merged.update(data)
     return merged
 
+
+def _is_real(value):
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _is_int(value):
+    return _is_real(value) and float(value).is_integer()
+
+
+def _list_of(check, size=None):
+    def check_list(value):
+        return (
+            isinstance(value, list)
+            and (size is None or len(value) == size)
+            and all(check(v) for v in value)
+        )
+
+    return check_list
+
+
+_INT = (_is_int, "an integer")
+_REAL = (_is_real, "a finite number")
+_INT_OR_NULL = (lambda v: v is None or _is_int(v), "an integer or null")
+_REAL_OR_NULL = (lambda v: v is None or _is_real(v), "a finite number or null")
+_INT_PAIR = (_list_of(_is_int, 2), "a list of two integers")
+_INTS = (_list_of(_is_int), "a list of integers")
+_REALS = (_list_of(_is_real), "a list of finite numbers")
+
+# type of every numeric config key, checked before any command uses it
+VALUE_TYPES = {
+    "num_objects": _INT,
+    "frames": _INT,
+    "grid": _INT_PAIR,
+    "points_per_object": _INT,
+    "noise_sigma": _REAL,
+    "camera_motion": _REAL,
+    "depth_motion": _REAL,
+    "stride": _INT_OR_NULL,
+    "bg_balance": _REAL_OR_NULL,
+    "steps": _INT,
+    "restarts": _INT,
+    "over_segments": _INT,
+    "target_segments": (
+        lambda v: v in (None, "auto") or _is_int(v),
+        'an integer, "auto" or null',
+    ),
+    "r": _INT,
+    "step_size": _REAL,
+    "k_range": _INT_PAIR,
+    "alpha": _REAL,
+    "lam": _REAL,
+    "rho": _REAL,
+    "max_iter": _INT,
+    "window_center": _INT_OR_NULL,
+    "window_half_width": _INT_OR_NULL,
+    "etas": _REALS,
+    "ss": _INTS,
+    "taus": _REALS,
+    "trials": _INT,
+    "instances": _INT,
+    "tracks": _INT,
+    "segments": _INT,
+    "step": _REAL,
+}
 
 SYNTH_KEYS = {
     "mode",

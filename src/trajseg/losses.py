@@ -6,9 +6,11 @@ trajectory losses score how far each soft group of tracks is from being
 low-rank: the tail loss sums trailing singular values, the reconstruction
 loss takes the squared residual against the best rank-r approximation, and
 the projective loss does the same on homogeneous coordinates at rank 4.
-Analytic gradients are provided with respect to pre-softmax logits; the
-trajectory gradients only ever differentiate singular values, never the
-singular vectors, so they remain stable as groups become rank deficient.
+Analytic gradients are provided with respect to pre-softmax logits.  The
+tail loss's value and gradient come from one batched eigendecomposition of
+the groups' Gram matrices, with a Rayleigh-Ritz refinement of the tail for
+groups whose Gram spectrum reaches round-off (see ``_gram_tail``); the
+value-only ``trajectory_tail_loss`` stays on the exact SVD.
 """
 
 from __future__ import annotations
@@ -317,15 +319,53 @@ def trajectory_tail_value_and_grad(logits, tracks, r=DEFAULT_RANK):
         raise RangeError(f"rank index must be >= 1, got {r}")
     if r > q:
         return 0.0, np.zeros_like(logits)
-    stack = _masked_stack(weights, tracks)
-    u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
-    value = float(sigma[:, r - 1 :].sum())
-    # d(sum of tail sigmas)/dP_k = sum of tail outer products u_i v_i^T;
-    # columns of an all-zero segment are skipped (0 is a valid subgradient).
-    tail = np.einsum("kmi,kin->kmn", u[:, :, r - 1 :], vt[:, r - 1 :, :])
-    tail[sigma[:, 0] == 0.0] = 0.0
-    grad_weights = np.einsum("kmn,mn->nk", tail, tracks)
+    value, grad_weights = _gram_tail(weights, tracks, r)
     return value, _chain_softmax(weights, grad_weights)
+
+
+def _gram_tail(weights, tracks, r):
+    """Tail value and its gradient w.r.t. the weights, from Gram eigenpairs.
+
+    G_k = P_k P_k^T with P_k = tracks * diag(w_k) is 2T x 2T; its trailing
+    2T-r+1 eigenpairs give the tail singular values sigma_i = sqrt(lambda_i)
+    and left vectors u_i, and the gradient is
+    w_nk sum_i (u_i^T x_n)^2 / sigma_i, where terms with sigma_i = 0 drop
+    out (a valid subgradient).
+
+    Squaring keeps an eigenvalue only to about eps * lambda_1, so a group
+    whose smallest sigma is below 1e-6 sigma_1 (every group of a noise-free
+    scene, whose rank is below 2T) is refined by Rayleigh-Ritz on the span U
+    of its trailing eigenvectors: the tail plus any head eigenvector below
+    1e-8 lambda_1, which the Gram spectrum cannot separate from the tail.
+    The eigenpairs of Y Y^T with Y = U^T P_k are accurate relative to Y's
+    own scale and rotate U.  Eigenvalues within round-off of the largest one
+    of their decomposition count as zero.  An overflowing Gram matrix gives
+    an infinite value instead of reaching the eigensolver.
+    """
+    masked = _masked_stack(weights, tracks)
+    gram = masked @ masked.transpose(0, 2, 1)
+    if not np.all(np.isfinite(gram)):
+        return np.inf, np.full_like(weights, np.nan)
+    lam, vecs = np.linalg.eigh(gram)
+    ntail = tracks.shape[0] - r + 1
+    rough = lam[:, 0] <= 1e-12 * lam[:, -1]
+    low = lam[rough] <= 1e-8 * lam[rough, -1:]
+    dim = max(ntail, int(low.sum(axis=1).max(initial=0)))
+    basis = vecs[:, :, :dim].transpose(0, 2, 1) @ tracks
+    proj = basis[:, :ntail]
+    sq = lam[:, :ntail].copy()
+    top = lam[:, -1].copy()
+    if np.any(rough):
+        y = basis[rough] * weights.T[rough, None, :]
+        mu, rot = np.linalg.eigh(y @ y.transpose(0, 2, 1))
+        sq[rough] = mu[:, :ntail]
+        top[rough] = mu[:, -1]
+        proj[rough] = rot[:, :, :ntail].transpose(0, 2, 1) @ basis[rough]
+    resolved = sq > tracks.shape[0] * np.finfo(float).eps * top[:, None]
+    sigma = np.sqrt(np.where(resolved, sq, 0.0))
+    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=resolved)
+    grad_weights = (inv[:, None, :] @ (proj * proj))[:, 0, :].T * weights
+    return float(sigma.sum()), grad_weights
 
 
 def _rank_residual(matrix, r):

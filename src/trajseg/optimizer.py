@@ -9,7 +9,7 @@ experiments while keeping the loss machinery identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -349,20 +349,10 @@ def segment_tracks(
     kind = cfg.loss_kind
     runs = []
     for restart in range(max(restarts, 1)):
-        sub = OptimConfig(
+        sub = replace(
+            cfg,
             k=over_segments,
-            steps=cfg.steps,
-            r=cfg.r,
-            step_size=cfg.step_size,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            eps=cfg.eps,
             seed=int(np.random.default_rng([cfg.seed, restart]).integers(2**31)),
-            loss_kind=kind,
-            weights=cfg.weights,
-            grid=cfg.grid,
-            init_std=cfg.init_std,
-            early_stop=cfg.early_stop,
         )
         assignment, _ = optimize_sequence(positions, cfg=sub)
         labels = hard_labels(assignment)

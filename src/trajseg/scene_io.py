@@ -9,7 +9,6 @@ formatting is fixed so identical scenes produce identical bytes.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import tempfile
@@ -84,6 +83,18 @@ def save_scene(scene: SceneTruth, out_dir) -> None:
         atomic_write_text(out / f"flow_{t:04d}.csv", _flow_csv(scene.flows[t], h, w))
 
 
+def _read_table(path, shape=None, **kwargs):
+    """A numeric CSV table; malformed content or a wrong ``shape`` raises
+    InvalidInputError."""
+    try:
+        table = np.loadtxt(path, delimiter=",", ndmin=2, **kwargs)
+    except ValueError as exc:
+        raise InvalidInputError(f"{path.name}: {exc}") from exc
+    if shape is not None and table.shape != shape:
+        raise InvalidInputError(f"{path.name} has shape {table.shape}, expected {shape}")
+    return table
+
+
 def load_scene(scene_dir) -> SceneTruth:
     """Rebuild a scene from its files.
 
@@ -94,30 +105,36 @@ def load_scene(scene_dir) -> SceneTruth:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise InvalidInputError(f"no manifest.json under {root}")
-    manifest = json.loads(manifest_path.read_text())
-    cfg_data = dict(manifest["config"])
-    cfg_data["grid"] = tuple(cfg_data["grid"])
-    cfg = SceneConfig(**cfg_data)
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        cfg_data = dict(manifest["config"])
+        cfg_data["grid"] = tuple(cfg_data["grid"])
+        cfg = SceneConfig(**cfg_data)
+        n_tracks = int(manifest["n_tracks"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidInputError(f"malformed manifest.json: {exc}") from exc
     frames = cfg.frames
     h, w = cfg.grid
 
-    rows = {}
-    with open(root / "trajectories.csv", newline="") as handle:
-        for record in csv.DictReader(handle):
-            n = int(record["track_id"])
-            t = int(record["frame"])
-            rows.setdefault(n, {})[t] = record
-    n_tracks = len(rows)
+    table = _read_table(
+        root / "trajectories.csv", shape=(n_tracks * frames, 6), skiprows=1
+    )
+    track = table[:, 0].astype(int)
+    frame = table[:, 1].astype(int)
+    inside = (track >= 0) & (track < n_tracks) & (frame >= 0) & (frame < frames)
+    if not inside.all() or np.unique(track * frames + frame).size != track.size:
+        raise InvalidInputError(
+            "trajectories.csv does not hold one row per (track, frame) "
+            f"of the manifest's {n_tracks} tracks x {frames} frames"
+        )
     positions = np.zeros((2 * frames, n_tracks))
+    positions[2 * frame, track] = table[:, 2]
+    positions[2 * frame + 1, track] = table[:, 3]
     visible = np.zeros((frames, n_tracks), dtype=bool)
+    visible[frame, track] = table[:, 4] == 1
     labels = np.zeros(n_tracks, dtype=int)
-    for n in sorted(rows):
-        for t in range(frames):
-            record = rows[n][t]
-            positions[2 * t, n] = float(record["x"])
-            positions[2 * t + 1, n] = float(record["y"])
-            visible[t, n] = record["visible"] == "1"
-        labels[n] = int(rows[n][0]["label"])
+    first = frame == 0
+    labels[track[first]] = table[first, 5].astype(int)
     tracks = TrajectoryMatrix(
         positions=positions,
         visible=visible,
@@ -126,10 +143,10 @@ def load_scene(scene_dir) -> SceneTruth:
 
     masks = np.zeros((frames, h, w), dtype=np.int16)
     for t in range(frames):
-        masks[t] = np.loadtxt(root / f"mask_{t:04d}.csv", delimiter=",", dtype=np.int16).reshape(h, w)
+        masks[t] = _read_table(root / f"mask_{t:04d}.csv", shape=(h, w), dtype=np.int16)
     flows = np.zeros((frames - 1, h * w, 2))
     for t in range(frames - 1):
-        table = np.loadtxt(root / f"flow_{t:04d}.csv", delimiter=",", skiprows=1)
+        table = _read_table(root / f"flow_{t:04d}.csv", shape=(h * w, 4), skiprows=1)
         flows[t] = table[:, 2:4]
     return SceneTruth(
         config=cfg,

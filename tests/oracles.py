@@ -170,3 +170,25 @@ def matrix_with_spectrum(rng, m, n, sigma):
     u = random_orthonormal(rng, m, q)
     v = random_orthonormal(rng, n, q)
     return (u * sigma) @ v.T
+
+
+def svd_tail_value_and_grad(logits, tracks, r):
+    """Tail loss sum_{i>=r} sigma_i over softmax-masked groups and its
+    gradient w.r.t. the logits, from a full batched SVD.
+
+    d(sum of tail sigmas)/dP_k is the sum of tail outer products
+    u_i v_i^T; columns of an all-zero segment get zero (a valid
+    subgradient).
+    """
+    logits = np.asarray(logits, float)
+    tracks = np.asarray(tracks, float)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)
+    stack = tracks[None, :, :] * weights.T[:, None, :]
+    u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
+    value = float(sigma[:, r - 1 :].sum())
+    tail = np.einsum("kmi,kin->kmn", u[:, :, r - 1 :], vt[:, r - 1 :, :])
+    tail[sigma[:, 0] == 0.0] = 0.0
+    grad_weights = np.einsum("kmn,mn->nk", tail, tracks)
+    inner = (weights * grad_weights).sum(axis=1, keepdims=True)
+    return value, weights * (grad_weights - inner)

@@ -1,8 +1,14 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajseg
 from trajseg.cli import main
 
 
@@ -176,3 +182,71 @@ class TestGradcheck:
                          "--seed", "8"]) == 0
             blobs.append((out / "gradcheck.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _drop_last_lines(count):
+    def edit(path):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-count]))
+
+    return edit
+
+
+def _cut_mid_line(path):
+    text = path.read_text()
+    path.write_text(text[: text.rindex(",", 0, len(text) - 1)])
+
+
+def _duplicate_first_row(path):
+    # track 0 frame 0 twice, track 1 frame 0 missing
+    path.write_text(path.read_text().replace("\n1,0,", "\n0,0,", 1))
+
+
+def _replace_with(text):
+    return lambda path: path.write_text(text)
+
+
+# (command, scene file and how to corrupt it or a config JSON, exit code)
+ERROR_CASES = [
+    pytest.param("segment", ("trajectories.csv", _drop_last_lines(3)), 3, id="truncated-tracks"),
+    pytest.param("segment", ("trajectories.csv", _cut_mid_line), 3, id="tracks-cut-mid-line"),
+    pytest.param("segment", ("trajectories.csv", _duplicate_first_row), 3, id="duplicated-row"),
+    pytest.param("segment", ("mask_0003.csv", _drop_last_lines(1)), 3, id="short-mask"),
+    pytest.param("segment", ("flow_0000.csv", _replace_with("x,y,u,v\na,b,c,d\n")), 3,
+                 id="non-numeric-flow"),
+    pytest.param("segment", ("manifest.json", _replace_with("{")), 3, id="manifest-not-json"),
+    pytest.param("segment", ("trajectories.csv", lambda p: p.unlink()), 2, id="missing-tracks"),
+    pytest.param("segment", {"steps": "many"}, 3, id="steps-not-a-number"),
+    pytest.param("segment", {"restarts": 2.5}, 3, id="fractional-restarts"),
+    pytest.param("segment", {"k_range": [2]}, 3, id="k-range-too-short"),
+    pytest.param("segment", {"target_segments": "some"}, 3, id="target-not-auto"),
+    pytest.param("synth", {"frames": "eight"}, 3, id="synth-frames-string"),
+    pytest.param("sweep", {"trials": None}, 3, id="sweep-trials-null"),
+    pytest.param("sweep", {"taus": ["1"]}, 3, id="sweep-taus-strings"),
+    pytest.param("gradcheck", {"step": True}, 3, id="gradcheck-step-bool"),
+]
+
+
+@pytest.mark.parametrize("command,fault,code", ERROR_CASES)
+def test_bad_input_exit_code_without_traceback(scene_dir, tmp_path, command, fault, code):
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    argv = [command, "--out", str(tmp_path / "out"), "--seed", "1"]
+    if command in ("segment", "sweep"):
+        argv += ["--scene", str(scene)]
+    if command == "segment":
+        argv += ["--method", "kmeans"]
+    if isinstance(fault, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fault))
+        argv += ["--config", str(cfg)]
+    else:
+        name, corrupt = fault
+        corrupt(scene / name)
+    env = dict(os.environ, PYTHONPATH=str(Path(trajseg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajseg.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()

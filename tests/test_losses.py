@@ -7,7 +7,11 @@ from trajseg import numkernel as nk
 from trajseg.errors import InvalidInputError, RangeError
 from trajseg.scene_synth import SceneConfig, make_scene
 
-from oracles import central_difference_grad, matrix_with_spectrum
+from oracles import (
+    central_difference_grad,
+    matrix_with_spectrum,
+    svd_tail_value_and_grad,
+)
 
 
 def hard_assignment(labels, k, mode="point", grid=None):
@@ -202,6 +206,79 @@ class TestTrajectoryTailGrad:
             L.SoftAssignment.from_logits(logits - 1e-3 * g), p, 5
         )
         assert stepped <= value + 1e-12
+
+
+def _rigid_scene(noise_sigma):
+    return make_scene(
+        SceneConfig(
+            mode="rigid3d_affine",
+            num_objects=3,
+            frames=16,
+            grid=(96, 96),
+            motion_seed=3,
+            noise_sigma=noise_sigma,
+            points_per_object=40,
+        )
+    )
+
+
+class TestTailKernelAgainstSvd:
+    """The Gram/eigh tail kernel against the full-SVD formula."""
+
+    @staticmethod
+    def assert_matches_svd(logits, tracks, r=5):
+        value, grad = L.trajectory_tail_value_and_grad(logits, tracks, r)
+        ref_value, ref_grad = svd_tail_value_and_grad(logits, tracks, r)
+        assert abs(value - ref_value) <= 1e-8 * ref_value
+        assert np.linalg.norm(grad - ref_grad) <= 1e-6 * np.linalg.norm(ref_grad)
+
+    def test_noisy_scene(self):
+        p = _rigid_scene(1.0).tracks.positions
+        logits = np.random.default_rng(0).standard_normal((p.shape[1], 10)) * 0.5
+        self.assert_matches_svd(logits, p)
+
+    @pytest.mark.parametrize("margin", [8.0, 12.0])
+    def test_noise_free_near_truth(self, margin):
+        # 4 rigid components of rank <= 4 leave the 32-row track matrix
+        # rank deficient, so every group's Gram spectrum reaches round-off;
+        # at margin 12 the tail sits near 1e-5 sigma_1, where the Gram
+        # eigenvalues alone are off by about 1e-3
+        sc = _rigid_scene(0.0)
+        p = sc.tracks.positions
+        assert np.linalg.matrix_rank(p) < p.shape[0]
+        rng = np.random.default_rng(1)
+        logits = margin * np.eye(10)[sc.labels] + 0.1 * rng.standard_normal(
+            (p.shape[1], 10)
+        )
+        self.assert_matches_svd(logits, p)
+
+    def test_more_rows_than_tracks(self):
+        # 54 exact null directions, which must add nothing to the value
+        rng = np.random.default_rng(2)
+        self.assert_matches_svd(rng.standard_normal((10, 3)), rng.standard_normal((64, 10)))
+
+    def test_weights_underflowing_to_zero(self):
+        rng = np.random.default_rng(3)
+        logits = rng.standard_normal((60, 3))
+        logits[:20, 0] = -1000.0
+        assert np.any(L.softmax(logits) == 0.0)
+        self.assert_matches_svd(logits, rng.standard_normal((16, 60)))
+
+    def test_all_zero_tracks(self):
+        logits = np.random.default_rng(4).standard_normal((40, 3))
+        value, grad = L.trajectory_tail_value_and_grad(logits, np.zeros((16, 40)), 5)
+        ref_value, ref_grad = svd_tail_value_and_grad(logits, np.zeros((16, 40)), 5)
+        assert value == ref_value == 0.0
+        assert np.all(grad == 0.0) and np.all(ref_grad == 0.0)
+
+    def test_overflow_gives_nonfinite_value(self):
+        rng = np.random.default_rng(5)
+        huge = rng.random((8, 12)) * 1.6e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, _ = L.trajectory_tail_value_and_grad(
+                rng.standard_normal((12, 3)), huge, 5
+            )
+        assert not np.isfinite(value)
 
 
 class TestReconstructionLoss:
@@ -452,3 +529,56 @@ def test_ground_truth_beats_random_assignments(affine_scene):
         worse += val >= truth_val
     assert worse == 200
     assert np.mean(vals) - truth_val > 1e-3 * s1
+
+
+def _tail_case(seed):
+    """Random tracks and logits; 2T > N in some draws."""
+    rng = np.random.default_rng(seed)
+    frames = int(rng.integers(3, 9))
+    n = int(rng.integers(8, 30))
+    k = int(rng.integers(2, 5))
+    return rng, rng.standard_normal((2 * frames, n)), rng.standard_normal((n, k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_tail_track_permutation_permutes_gradient_rows(seed):
+    rng, p, logits = _tail_case(seed)
+    perm = rng.permutation(p.shape[1])
+    value, grad = L.trajectory_tail_value_and_grad(logits, p, 3)
+    value_p, grad_p = L.trajectory_tail_value_and_grad(logits[perm], p[:, perm], 3)
+    assert value_p == pytest.approx(value, rel=1e-9)
+    assert np.allclose(grad_p, grad[perm], rtol=0, atol=1e-9 * np.abs(grad).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_tail_segment_permutation_permutes_gradient_columns(seed):
+    rng, p, logits = _tail_case(seed)
+    perm = rng.permutation(logits.shape[1])
+    value, grad = L.trajectory_tail_value_and_grad(logits, p, 3)
+    value_p, grad_p = L.trajectory_tail_value_and_grad(logits[:, perm], p, 3)
+    assert value_p == pytest.approx(value, rel=1e-9)
+    assert np.allclose(grad_p, grad[:, perm], rtol=0, atol=1e-9 * np.abs(grad).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 2 * np.pi))
+def test_tail_value_invariant_under_image_rotation(seed, angle):
+    _, p, logits = _tail_case(seed)
+    c, s = np.cos(angle), np.sin(angle)
+    rotated = np.empty_like(p)
+    rotated[0::2] = c * p[0::2] - s * p[1::2]
+    rotated[1::2] = s * p[0::2] + c * p[1::2]
+    value, _ = L.trajectory_tail_value_and_grad(logits, p, 3)
+    value_rot, _ = L.trajectory_tail_value_and_grad(logits, rotated, 3)
+    assert value_rot == pytest.approx(value, rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.1, 10.0))
+def test_tail_value_scales_with_coordinates(seed, c):
+    _, p, logits = _tail_case(seed)
+    value, _ = L.trajectory_tail_value_and_grad(logits, p, 3)
+    value_scaled, _ = L.trajectory_tail_value_and_grad(logits, c * p, 3)
+    assert value_scaled == pytest.approx(c * value, rel=1e-9)
