@@ -4,7 +4,9 @@ Every command is a pure function of (config file, input files, --seed):
 rerunning with identical inputs produces byte-identical outputs.  File
 writes go through a temp-file rename so interrupted runs never leave
 truncated tables.  Exit codes: 0 success, 1 assertion failure, 2 I/O
-error, 3 configuration error.
+error, 3 any other detected error: a bad config (``ConfigError``) and every
+``TrajsegError``, which includes a malformed scene directory
+(``InvalidInputError``) and a diverged solver (``DivergenceError``).
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ Analytic gradients are provided with respect to pre-softmax logits.  The
 tail loss's value and gradient come from one batched eigendecomposition of
 the groups' Gram matrices, with a Rayleigh-Ritz refinement of the tail for
 groups whose Gram spectrum reaches round-off (see ``_gram_tail``); the
-value-only ``trajectory_tail_loss`` stays on the exact SVD.
+value-only ``trajectory_tail_loss`` stays on the exact SVD.  The
+reconstruction and projective losses share one batched-SVD residual kernel
+(``_rank_residual_terms``), and ``hard_group_loss`` scores one hard group by
+the same rules from its exact spectrum.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ __all__ = [
     "trajectory_reconstruction_grad",
     "trajectory_projective_loss",
     "trajectory_projective_grad",
+    "hard_group_loss",
     "tracks_as_flow_loss",
-    "tracks_as_flow_grad",
     "bilinear_sample",
     "temporal_smooth_loss",
     "combined_loss",
@@ -368,24 +371,30 @@ def _gram_tail(weights, tracks, r):
     return float(sigma.sum()), grad_weights
 
 
-def _rank_residual(matrix, r):
-    """Residual against the best rank-r approximation (r capped at q)."""
-    f = nk.svd(matrix)
-    return matrix - nk.truncate(f, min(r, f.sigma.size))
+def _rank_residual_terms(weights, base, r):
+    """Squared rank-r residual summed over the masked groups, and its
+    gradient w.r.t. the weights.
+
+    One batched SVD of the (K, m, N) stack P_k = base * diag(w_k) gives every
+    group's best rank-r approximant (r capped at min(m, N)).  The approximant
+    is the inner minimiser, so by the envelope theorem the gradient w.r.t.
+    w_nk is 2 resid_k[:, n] . base[:, n].
+    """
+    if r < 1:
+        raise RangeError(f"rank index must be >= 1, got {r}")
+    stack = _masked_stack(weights, base)
+    u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
+    r = min(r, sigma.shape[1])
+    resid = stack - (u[:, :, :r] * sigma[:, None, :r]) @ vt[:, :r, :]
+    return float((resid**2).sum()), 2.0 * np.einsum("kmn,mn->nk", resid, base)
 
 
 def trajectory_reconstruction_loss(
     assignment: SoftAssignment, tracks, r=DEFAULT_RANK
 ) -> float:
     """Squared distance of each masked group to its best rank-r approximant."""
-    if r < 1:
-        raise RangeError(f"rank index must be >= 1, got {r}")
     tracks = _check_tracks(assignment.weights, tracks)
-    total = 0.0
-    for k in range(assignment.n_segments):
-        resid = _rank_residual(tracks * assignment.weights[:, k], r)
-        total += float((resid**2).sum())
-    return total
+    return _rank_residual_terms(assignment.weights, tracks, r)[0]
 
 
 def trajectory_reconstruction_grad(logits, tracks, r=DEFAULT_RANK):
@@ -397,24 +406,17 @@ def trajectory_reconstruction_value_and_grad(logits, tracks, r=DEFAULT_RANK):
     logits = nk.as_matrix(logits, "logits")
     weights = softmax(logits)
     tracks = _check_tracks(weights, tracks)
-    value = 0.0
-    grad_weights = np.zeros_like(weights)
-    for k in range(weights.shape[1]):
-        resid = _rank_residual(tracks * weights[:, k], r)
-        value += float((resid**2).sum())
-        # best rank-r approximant is the inner minimiser: envelope theorem
-        grad_weights[:, k] = 2.0 * (resid * tracks).sum(axis=0)
+    value, grad_weights = _rank_residual_terms(weights, tracks, r)
     return value, _chain_softmax(weights, grad_weights)
 
 
-def _lift_homogeneous(tracks, weights_col):
-    """Stack (x*a, y*a, a) rows per frame for one segment, (3T, N)."""
+def _lift_homogeneous(tracks):
+    """Stack (x, y, 1) rows per frame, (3T, N)."""
     frames = tracks.shape[0] // 2
-    n = tracks.shape[1]
-    lifted = np.empty((3 * frames, n))
-    lifted[0::3] = tracks[0::2] * weights_col
-    lifted[1::3] = tracks[1::2] * weights_col
-    lifted[2::3] = np.broadcast_to(weights_col, (frames, n))
+    lifted = np.empty((3 * frames, tracks.shape[1]))
+    lifted[0::3] = tracks[0::2]
+    lifted[1::3] = tracks[1::2]
+    lifted[2::3] = 1.0
     return lifted
 
 
@@ -427,11 +429,7 @@ def trajectory_projective_loss(assignment: SoftAssignment, tracks) -> float:
     when every track keeps constant projective depth.
     """
     tracks = _check_tracks(assignment.weights, tracks, frame_paired=True)
-    total = 0.0
-    for k in range(assignment.n_segments):
-        lifted = _lift_homogeneous(tracks, assignment.weights[:, k])
-        total += float((_rank_residual(lifted, 4) ** 2).sum())
-    return total
+    return _rank_residual_terms(assignment.weights, _lift_homogeneous(tracks), 4)[0]
 
 
 def trajectory_projective_grad(logits, tracks):
@@ -443,18 +441,26 @@ def trajectory_projective_value_and_grad(logits, tracks):
     logits = nk.as_matrix(logits, "logits")
     weights = softmax(logits)
     tracks = _check_tracks(weights, tracks, frame_paired=True)
-    value = 0.0
-    grad_weights = np.zeros_like(weights)
-    for k in range(weights.shape[1]):
-        lifted = _lift_homogeneous(tracks, weights[:, k])
-        resid = _rank_residual(lifted, 4)
-        value += float((resid**2).sum())
-        grad_weights[:, k] = 2.0 * (
-            (resid[0::3] * tracks[0::2]).sum(axis=0)
-            + (resid[1::3] * tracks[1::2]).sum(axis=0)
-            + resid[2::3].sum(axis=0)
-        )
+    value, grad_weights = _rank_residual_terms(weights, _lift_homogeneous(tracks), 4)
     return value, _chain_softmax(weights, grad_weights)
+
+
+def hard_group_loss(columns, kind="tail", r=DEFAULT_RANK) -> float:
+    """Loss of one hard group from the exact spectrum of its track columns.
+
+    The tail sums sigma_i from index r on (zero when the group has fewer
+    than r singular values), reconstruction sums sigma_i^2 beyond r, and
+    projective sums sigma_i^2 beyond 4 of the homogeneous lift.  These are
+    the soft losses at one-hot weights; ``tracks_as_flow`` has no spectral
+    rule of its own and is scored like the tail.  An empty group scores 0.
+    """
+    if kind == "projective":
+        sigma = np.linalg.svd(_lift_homogeneous(columns), compute_uv=False)
+        return float((sigma[4:] ** 2).sum())
+    sigma = np.linalg.svd(columns, compute_uv=False)
+    if kind == "reconstruction":
+        return float((sigma[r:] ** 2).sum())
+    return float(sigma[r - 1 :].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +484,6 @@ def tracks_as_flow_loss(assignment: SoftAssignment, tracks, h, w) -> float:
     """
     value, _ = _tracks_as_flow(assignment.weights, tracks, h, w)
     return value
-
-
-def tracks_as_flow_grad(logits, tracks, h, w):
-    logits = nk.as_matrix(logits, "logits")
-    weights = softmax(logits)
-    _, grad_weights = _tracks_as_flow(weights, tracks, h, w)
-    return _chain_softmax(weights, grad_weights)
 
 
 def tracks_as_flow_value_and_grad(logits, tracks, h, w):

@@ -3,10 +3,9 @@
 Everything here is a pure function of float64 arrays.  The kernels are
 deliberately small: a compact SVD with a fixed sign convention, truncated
 reconstruction, a ridge-stabilised least-squares solve, a symmetric
-eigendecomposition, and the sum/gradient of the trailing singular values.
-The last pair is the workhorse of the trajectory grouping loss: the
-gradient touches only the singular values, never the singular vectors, so
-it stays finite as matrices become rank deficient.
+eigendecomposition, and the sum of the trailing singular values.  The
+trajectory losses run their own batched decompositions of all groups at
+once in ``losses``; the flow loss and the baselines use the kernels here.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "lstsq",
     "sym_eig",
     "tail_singular_sum",
-    "tail_singular_grad",
 ]
 
 
@@ -52,10 +50,6 @@ class SvdFactors:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-    @property
-    def rank_bound(self) -> int:
-        return self.sigma.size
 
 
 def svd(a) -> SvdFactors:
@@ -162,19 +156,3 @@ def tail_singular_sum(a, r: int) -> float:
         raise RangeError(f"rank index {r} outside [1, {q}]")
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[r - 1 :].sum())
-
-
-def tail_singular_grad(a, r: int) -> np.ndarray:
-    """Gradient of :func:`tail_singular_sum` with respect to ``a``.
-
-    Equals the sum of outer products ``u_i v_i.T`` over the trailing
-    singular triples i >= r.  When singular values coincide or vanish the
-    result is one valid subgradient (the factor columns are used as
-    computed, including triples with singular values below 1e-12 times the
-    leading one).
-    """
-    f = svd(a)
-    q = f.sigma.size
-    if not 1 <= r <= q:
-        raise RangeError(f"rank index {r} outside [1, {q}]")
-    return f.u[:, r - 1 :] @ f.v[:, r - 1 :].T

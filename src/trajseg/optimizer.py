@@ -232,21 +232,7 @@ def hard_labels(assignment) -> np.ndarray:
 
 def _segment_score(tracks, mask, kind, r):
     """Loss contribution of one hard segment (zero columns drop out)."""
-    if not np.any(mask):
-        return 0.0
-    sub = tracks[:, mask]
-    if kind == "projective":
-        frames = sub.shape[0] // 2
-        lifted = np.empty((3 * frames, sub.shape[1]))
-        lifted[0::3] = sub[0::2]
-        lifted[1::3] = sub[1::2]
-        lifted[2::3] = 1.0
-        sigma = np.linalg.svd(lifted, compute_uv=False)
-        return float((sigma[4:] ** 2).sum())
-    sigma = np.linalg.svd(sub, compute_uv=False)
-    if kind == "reconstruction":
-        return float((sigma[r:] ** 2).sum())
-    return float(sigma[r - 1 :].sum()) if sigma.size >= r else 0.0
+    return L.hard_group_loss(tracks[:, mask], kind, r)
 
 
 def hard_loss(tracks, labels, kind="tail", r=L.DEFAULT_RANK) -> float:

@@ -154,14 +154,6 @@ class TrajectoryMatrix:
     def visible_at(self, t: int) -> np.ndarray:
         return self.visible[t].copy()
 
-    def select(self, index) -> "TrajectoryMatrix":
-        """Column subset, keeping visibility and labels aligned."""
-        return TrajectoryMatrix(
-            positions=self.positions[:, index],
-            visible=self.visible[:, index],
-            labels=None if self.labels is None else self.labels[index],
-        )
-
 
 @dataclass(frozen=True)
 class ObjectGeometry:

@@ -180,15 +180,61 @@ def svd_tail_value_and_grad(logits, tracks, r):
     u_i v_i^T; columns of an all-zero segment get zero (a valid
     subgradient).
     """
-    logits = np.asarray(logits, float)
+    weights = _softmax(logits)
     tracks = np.asarray(tracks, float)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    weights = e / e.sum(axis=1, keepdims=True)
     stack = tracks[None, :, :] * weights.T[:, None, :]
     u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
     value = float(sigma[:, r - 1 :].sum())
     tail = np.einsum("kmi,kin->kmn", u[:, :, r - 1 :], vt[:, r - 1 :, :])
     tail[sigma[:, 0] == 0.0] = 0.0
     grad_weights = np.einsum("kmn,mn->nk", tail, tracks)
+    return value, _chain_softmax(weights, grad_weights)
+
+
+def per_group_residual_value_and_grad(logits, tracks, r, lift=False):
+    """Squared residual of each softmax-masked group against its truncated
+    SVD, summed over groups one at a time, and its gradient w.r.t. the
+    logits.
+
+    With ``lift`` every frame's (x, y) rows get a masked all-ones row, as in
+    the projective loss.  The rank is capped at the group's number of
+    singular values.  The truncation is the inner minimiser, so the weight
+    gradient is 2 resid . d(masked matrix)/dw, column by column.
+    """
+    weights = _softmax(logits)
+    tracks = np.asarray(tracks, float)
+    value = 0.0
+    grad_weights = np.zeros_like(weights)
+    for k in range(weights.shape[1]):
+        w = weights[:, k]
+        if lift:
+            matrix = np.empty((3 * (tracks.shape[0] // 2), tracks.shape[1]))
+            matrix[0::3] = tracks[0::2] * w
+            matrix[1::3] = tracks[1::2] * w
+            matrix[2::3] = w
+        else:
+            matrix = tracks * w
+        u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
+        q = min(r, sigma.size)
+        resid = matrix - (u[:, :q] * sigma[:q]) @ vt[:q]
+        value += float((resid**2).sum())
+        if lift:
+            grad_weights[:, k] = 2.0 * (
+                (resid[0::3] * tracks[0::2]).sum(axis=0)
+                + (resid[1::3] * tracks[1::2]).sum(axis=0)
+                + resid[2::3].sum(axis=0)
+            )
+        else:
+            grad_weights[:, k] = 2.0 * (resid * tracks).sum(axis=0)
+    return value, _chain_softmax(weights, grad_weights)
+
+
+def _softmax(logits):
+    logits = np.asarray(logits, float)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _chain_softmax(weights, grad_weights):
     inner = (weights * grad_weights).sum(axis=1, keepdims=True)
-    return value, weights * (grad_weights - inner)
+    return weights * (grad_weights - inner)

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 from trajseg import losses as L
 from trajseg import numkernel as nk
 from trajseg.errors import InvalidInputError, RangeError
+from trajseg.optimizer import hard_loss
 from trajseg.scene_synth import SceneConfig, make_scene
 
 from oracles import (
     central_difference_grad,
     matrix_with_spectrum,
+    per_group_residual_value_and_grad,
     svd_tail_value_and_grad,
 )
 
@@ -582,3 +584,153 @@ def test_tail_value_scales_with_coordinates(seed, c):
     value, _ = L.trajectory_tail_value_and_grad(logits, p, 3)
     value_scaled, _ = L.trajectory_tail_value_and_grad(logits, c * p, 3)
     assert value_scaled == pytest.approx(c * value, rel=1e-9)
+
+
+# reconstruction and projective losses: one batched residual kernel
+
+_RESIDUAL_LOSSES = {
+    "reconstruction": lambda logits, p: L.trajectory_reconstruction_value_and_grad(
+        logits, p, 3
+    ),
+    "projective": L.trajectory_projective_value_and_grad,
+}
+
+
+class TestResidualKernelAgainstPerGroupSvd:
+    """The batched residual kernel against a loop of per-group SVDs."""
+
+    @staticmethod
+    def assert_matches(logits, p, r=5):
+        a = L.SoftAssignment.from_logits(logits)
+        cases = {
+            "reconstruction": (
+                L.trajectory_reconstruction_value_and_grad(logits, p, r),
+                L.trajectory_reconstruction_loss(a, p, r),
+                per_group_residual_value_and_grad(logits, p, r),
+            ),
+            "projective": (
+                L.trajectory_projective_value_and_grad(logits, p),
+                L.trajectory_projective_loss(a, p),
+                per_group_residual_value_and_grad(logits, p, 4, lift=True),
+            ),
+        }
+        for kind, ((value, grad), loss, (ref_value, ref_grad)) in cases.items():
+            assert loss == value, kind
+            assert abs(value - ref_value) <= 1e-12 * ref_value, kind
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max(), kind
+
+    def test_noisy_scene(self):
+        p = _rigid_scene(1.0).tracks.positions
+        logits = np.random.default_rng(0).standard_normal((p.shape[1], 10)) * 0.5
+        self.assert_matches(logits, p)
+
+    def test_noise_free_near_truth(self):
+        sc = _rigid_scene(0.0)
+        p = sc.tracks.positions
+        rng = np.random.default_rng(1)
+        logits = 8.0 * np.eye(10)[sc.labels] + 0.1 * rng.standard_normal((p.shape[1], 10))
+        self.assert_matches(logits, p)
+
+    def test_more_rows_than_tracks(self):
+        rng = np.random.default_rng(2)
+        self.assert_matches(rng.standard_normal((10, 3)), rng.standard_normal((64, 10)))
+
+    def test_rank_capped_at_track_count(self):
+        # 3 tracks: each group has 3 singular values, fewer than r and 4, so
+        # it is its own best approximant and only round-off remains
+        rng = np.random.default_rng(3)
+        p = rng.standard_normal((8, 3))
+        logits = rng.standard_normal((3, 2))
+        for value, grad in (
+            L.trajectory_reconstruction_value_and_grad(logits, p, 5),
+            L.trajectory_projective_value_and_grad(logits, p),
+        ):
+            assert value < 1e-25 and np.abs(grad).max() < 1e-12
+
+    def test_rank_below_one_is_rejected(self):
+        with pytest.raises(RangeError):
+            L.trajectory_reconstruction_value_and_grad(np.zeros((4, 2)), np.ones((6, 4)), 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(sorted(_RESIDUAL_LOSSES)))
+def test_residual_track_permutation_permutes_gradient_rows(seed, kind):
+    rng, p, logits = _tail_case(seed)
+    perm = rng.permutation(p.shape[1])
+    value, grad = _RESIDUAL_LOSSES[kind](logits, p)
+    value_p, grad_p = _RESIDUAL_LOSSES[kind](logits[perm], p[:, perm])
+    assert value_p == pytest.approx(value, rel=1e-9)
+    assert np.allclose(grad_p, grad[perm], rtol=0, atol=1e-9 * np.abs(grad).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(sorted(_RESIDUAL_LOSSES)))
+def test_residual_segment_permutation_permutes_gradient_columns(seed, kind):
+    rng, p, logits = _tail_case(seed)
+    perm = rng.permutation(logits.shape[1])
+    value, grad = _RESIDUAL_LOSSES[kind](logits, p)
+    value_p, grad_p = _RESIDUAL_LOSSES[kind](logits[:, perm], p)
+    assert value_p == pytest.approx(value, rel=1e-9)
+    assert np.allclose(grad_p, grad[:, perm], rtol=0, atol=1e-9 * np.abs(grad).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(sorted(_RESIDUAL_LOSSES)),
+    st.floats(0.0, 2 * np.pi),
+)
+def test_residual_value_invariant_under_image_rotation(seed, kind, angle):
+    _, p, logits = _tail_case(seed)
+    c, s = np.cos(angle), np.sin(angle)
+    rotated = np.empty_like(p)
+    rotated[0::2] = c * p[0::2] - s * p[1::2]
+    rotated[1::2] = s * p[0::2] + c * p[1::2]
+    value, _ = _RESIDUAL_LOSSES[kind](logits, p)
+    value_rot, _ = _RESIDUAL_LOSSES[kind](logits, rotated)
+    assert value_rot == pytest.approx(value, rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.1, 10.0))
+def test_reconstruction_value_scales_with_squared_coordinates(seed, c):
+    _, p, logits = _tail_case(seed)
+    value, _ = _RESIDUAL_LOSSES["reconstruction"](logits, p)
+    value_scaled, _ = _RESIDUAL_LOSSES["reconstruction"](logits, c * p)
+    assert value_scaled == pytest.approx(c * c * value, rel=1e-9)
+
+
+# hard-group scores against the soft losses at one-hot weights
+
+
+class TestHardAgreesWithSoft:
+    @staticmethod
+    def soft_losses(labels, k, p, r):
+        a = hard_assignment(labels, k)
+        return {
+            "tail": L.trajectory_tail_loss(a, p, r),
+            "reconstruction": L.trajectory_reconstruction_loss(a, p, r),
+            "projective": L.trajectory_projective_loss(a, p),
+        }
+
+    def assert_agree(self, labels, k, p, r=5):
+        for kind, soft in self.soft_losses(labels, k, p, r).items():
+            hard = hard_loss(p, labels, kind, r)
+            assert hard == pytest.approx(soft, rel=1e-12), kind
+        assert hard_loss(p, labels, "tracks_as_flow", r) == hard_loss(p, labels, "tail", r)
+
+    def test_noisy_scene_truth_labels(self):
+        sc = _rigid_scene(1.0)
+        self.assert_agree(sc.labels, 4, sc.tracks.positions)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.standard_normal((12, 40))
+        # label 3 of 5 stays empty; some groups have fewer tracks than r
+        labels = rng.choice([0, 1, 2, 4], size=40, p=[0.5, 0.3, 0.15, 0.05])
+        self.assert_agree(labels, 5, p, r=int(rng.integers(1, 6)))
+
+    @pytest.mark.parametrize("kind", ["tail", "reconstruction", "projective"])
+    def test_empty_group_scores_zero(self, kind):
+        assert L.hard_group_loss(np.zeros((8, 0)), kind, 3) == 0.0

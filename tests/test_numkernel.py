@@ -6,9 +6,7 @@ from trajseg import numkernel as nk
 from trajseg.errors import InvalidInputError, RangeError
 
 from oracles import (
-    central_difference_grad,
     gradient_descent_lstsq_residual,
-    matrix_with_spectrum,
     random_orthonormal,
     singular_values_via_jacobi,
 )
@@ -176,29 +174,6 @@ class TestTailSum:
             nk.tail_singular_sum(np.eye(3), 0)
 
 
-class TestTailGrad:
-    def test_diagonal_case(self):
-        g = nk.tail_singular_grad(np.diag([5.0, 1.0]), 2)
-        assert np.allclose(g, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
-
-    def test_rank_one_euler_identity(self):
-        rng = np.random.default_rng(13)
-        a = np.outer(rng.standard_normal(5), rng.standard_normal(4))
-        g = nk.tail_singular_grad(a, 1)
-        sigma1 = np.linalg.svd(a, compute_uv=False)[0]
-        assert float((g * a).sum()) == pytest.approx(sigma1, rel=1e-10)
-
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(14)
-        # gaps > 0.1 between consecutive singular values keep the gradient smooth
-        sigma = np.array([6.0, 4.5, 3.2, 2.0, 1.1])
-        a = matrix_with_spectrum(rng, 6, 5, sigma)
-        g = nk.tail_singular_grad(a, 3)
-        ref = central_difference_grad(lambda x: nk.tail_singular_sum(x, 3), a)
-        rel = np.linalg.norm(g - ref) / np.linalg.norm(ref)
-        assert rel < 1e-5
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(2, 6))
 def test_tail_sum_decreases_in_r(seed, m, n):
@@ -231,17 +206,3 @@ def test_eckart_young_identity(seed):
     for r in (1, 3):
         err2 = np.linalg.norm(a - nk.truncate(f, r)) ** 2
         assert abs(err2 - (f.sigma[r:] ** 2).sum()) <= 1e-8 * f.sigma[0] ** 2
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 10_000))
-def test_tail_grad_matches_fd_when_gaps_large(seed):
-    rng = np.random.default_rng(seed)
-    # strictly separated spectrum: every consecutive gap > 1e-3 * sigma_1
-    sigma = np.sort(rng.uniform(0.5, 5.0, size=5))[::-1]
-    sigma += np.arange(5, 0, -1) * 0.2
-    a = matrix_with_spectrum(rng, 7, 5, sigma)
-    for r in (2, 4):
-        g = nk.tail_singular_grad(a, r)
-        ref = central_difference_grad(lambda x: nk.tail_singular_sum(x, r), a)
-        assert np.linalg.norm(g - ref) / np.linalg.norm(ref) < 1e-5
