@@ -2,8 +2,8 @@
 
 K-means with k-means++ seeding and restarts, sparse self-expression via
 ADMM, low-rank self-expression via an inexact augmented Lagrangian with
-singular-value thresholding, simple affinity symmetrisation, and spectral
-clustering on the normalised Laplacian.  All solvers are deterministic
+singular-value thresholding in the row space of the data, simple affinity
+symmetrisation, and spectral clustering on the normalised Laplacian.  All solvers are deterministic
 given their seeds and sized for dense desk-scale problems.
 """
 
@@ -31,14 +31,17 @@ __all__ = [
 class CoefficientMatrix:
     """Self-expression coefficients produced by a subspace solver.
 
-    ``noise`` carries the column-sparse error term for solvers that model
-    one (LRR); SSC leaves it None.
+    ``converged`` is True when the solver met its stopping rule and False
+    when it stopped at its iteration cap.  ``noise`` carries the
+    column-sparse error term for solvers that model one (LRR); SSC leaves
+    it None.
     """
 
     c: np.ndarray
     method: str
     iterations: int
     primal_residual: float
+    converged: bool
     noise: np.ndarray | None = None
 
 
@@ -161,6 +164,7 @@ def ssc_admm(data, alpha=100.0, tol=1e-4, max_iter=200) -> CoefficientMatrix:
     dual = np.zeros((n, n))
     z = c
     iterations = max_iter
+    converged = False
     for it in range(max_iter):
         z = lhs @ (lam * gram + rho * c - dual)
         np.fill_diagonal(z, 0.0)
@@ -171,12 +175,14 @@ def ssc_admm(data, alpha=100.0, tol=1e-4, max_iter=200) -> CoefficientMatrix:
         c = c_new
         if change < tol:
             iterations = it + 1
+            converged = True
             break
     return CoefficientMatrix(
         c=c,
         method="ssc",
         iterations=iterations,
         primal_residual=float(np.abs(z - c).max()),
+        converged=converged,
     )
 
 
@@ -209,35 +215,52 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000, tol=1e-7, mu0=1e-6, mu_max=1e1
     by ``rho`` each iteration.  Stops when the constraint residual
     |D - DC - E|_max falls below ``tol``; aborts if the residual keeps
     growing for 500 consecutive iterations.
+
+    The iterates are carried in the row space of D (Liu et al., "Robust
+    recovery of subspace structures by low-rank representation", TPAMI
+    2013).  With Q an orthonormal basis of span(D^T) (N x q, q = min(N, m)
+    for an m x N matrix D) and B = DQ, every iterate of the N x N loop keeps
+    its columns in span(Q): they all start at zero, (D^T D + I)^-1 maps the
+    span into itself, thresholding the singular values of QM gives
+    Q SVT(M), and the multiplier updates stay in it.  So C = QZ, J = QZ_J
+    and Y2 = QW, with Q^T (D^T D + I)^-1 Q = (B^T B + I)^-1, DC = BZ and
+    Q^T D^T = B^T, is the same sequence of iterates carried on q x N
+    matrices: each iteration thresholds a q x N matrix instead of an N x N
+    one.  The stopping rule and the divergence guard still use the max norm
+    of the full gap C - J = Q(Z - Z_J), which Q does not preserve.
     """
     data = nk.as_matrix(data, "data")
     n = data.shape[1]
     if n < 2:
         raise InvalidInputError("need at least 2 columns")
-    gram = data.T @ data
-    inv_lhs = np.linalg.inv(gram + np.eye(n))
-    c = np.zeros((n, n))
+    q = np.linalg.qr(data.T)[0]
+    b = data @ q
+    inv_lhs = np.linalg.inv(b.T @ b + np.eye(q.shape[1]))
+    bt_data = b.T @ data
+    z = np.zeros((q.shape[1], n))
     err = np.zeros_like(data)
     y1 = np.zeros_like(data)
-    y2 = np.zeros((n, n))
+    w = np.zeros_like(z)
     mu = mu0
     prev_primal = np.inf
     growth_streak = 0
     history = []
     iterations = max_iter
     primal = np.inf
+    converged = False
     for it in range(max_iter):
-        aux = _svt(c + y2 / mu, 1.0 / mu)
-        c = inv_lhs @ (gram - data.T @ err + aux + (data.T @ y1 - y2) / mu)
-        resid = data - data @ c
+        z_aux = _svt(z + w / mu, 1.0 / mu)
+        z = inv_lhs @ (bt_data - b.T @ err + z_aux + (b.T @ y1 - w) / mu)
+        resid = data - b @ z
         err = _column_shrink(resid + y1 / mu, lam / mu)
         gap_data = resid - err
-        gap_aux = c - aux
+        gap_aux = z - z_aux
         # both splitting constraints (D = DC + E and C = J) must be met
-        primal = float(max(np.abs(gap_data).max(), np.abs(gap_aux).max()))
+        primal = float(max(np.abs(gap_data).max(), np.abs(q @ gap_aux).max()))
         history.append(primal)
         if primal < tol:
             iterations = it + 1
+            converged = True
             break
         if primal > prev_primal:
             growth_streak += 1
@@ -250,10 +273,15 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000, tol=1e-7, mu0=1e-6, mu_max=1e1
             growth_streak = 0
         prev_primal = primal
         y1 = y1 + mu * gap_data
-        y2 = y2 + mu * gap_aux
+        w = w + mu * gap_aux
         mu = min(mu_max, mu * rho)
     return CoefficientMatrix(
-        c=c, method="lrr", iterations=iterations, primal_residual=primal, noise=err
+        c=q @ z,
+        method="lrr",
+        iterations=iterations,
+        primal_residual=primal,
+        converged=converged,
+        noise=err,
     )
 
 

@@ -5,8 +5,12 @@ rerunning with identical inputs produces byte-identical outputs.  File
 writes go through a temp-file rename so interrupted runs never leave
 truncated tables.  Exit codes: 0 success, 1 assertion failure, 2 I/O
 error, 3 any other detected error: a bad config (``ConfigError``) and every
-``TrajsegError``, which includes a malformed scene directory
-(``InvalidInputError``) and a diverged solver (``DivergenceError``).
+``TrajsegError`` but a diverged solver, which includes a malformed scene
+directory (``InvalidInputError``); 4 a diverged solver
+(``DivergenceError``), reported with the last residual it recorded, if
+any.  The ``run.json`` of an ssc or lrr run records the solver's
+``iterations``, ``primal_residual`` and whether it ``converged`` or
+stopped at its iteration cap.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, feasibility, losses, metrics
-from .errors import TrajsegError
+from .errors import DivergenceError, TrajsegError
 from .optimizer import OptimConfig, segment_tracks
 from .scene_io import atomic_write_text, load_scene, save_scene
 from .scene_synth import SceneConfig, make_scene, window
@@ -31,6 +35,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
+EXIT_SOLVER = 4
 
 
 class ConfigError(Exception):
@@ -220,6 +225,7 @@ def _segment_lrtl(scene, tracks, config, seed):
 def _segment_baseline(scene, tracks, truth, keep, method, config, seed, out):
     lo, hi = config["k_range"]
     ks = list(range(int(lo), int(hi) + 1))
+    solver = {}
     if method == "kmeans":
         frames = tracks.shape[0] // 2
         data = (tracks - np.tile(tracks[0:2], (frames, 1))).T
@@ -247,13 +253,15 @@ def _segment_baseline(scene, tracks, truth, keep, method, config, seed, out):
         candidates = {
             k: baselines.spectral_cluster(aff, k, seed=seed) for k in ks if k <= len(keep)
         }
+        solver = {"iterations": coeff.iterations, "primal_residual": coeff.primal_residual,
+                  "converged": coeff.converged}
     if not candidates:
         raise ConfigError(f"no k in {ks} fits the {len(keep)} usable tracks")
     if truth is None:
         k = min(candidates)
-        return candidates[k], {"k_selected": k, "oracle": False}
+        return candidates[k], dict(solver, k_selected=k, oracle=False)
     best_k = max(candidates, key=lambda k: (metrics.ari(candidates[k], truth), -k))
-    return candidates[best_k], {"k_selected": int(best_k), "oracle": True}
+    return candidates[best_k], dict(solver, k_selected=int(best_k), oracle=True)
 
 
 def cmd_segment(args) -> int:
@@ -507,6 +515,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except DivergenceError as exc:
+        residuals = exc.diagnostics.get("residuals")
+        last = f"; last residual {residuals[-1]:.6g}" if residuals else ""
+        print(f"solver diverged: {exc}{last}", file=sys.stderr)
+        return EXIT_SOLVER
     except TrajsegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -69,15 +69,12 @@ def svd(a) -> SvdFactors:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     v = vt.T.copy()
     u = u.copy()
-    for j in range(s.size):
-        col = u[:, j]
-        amax = np.abs(col).max()
-        if amax == 0.0:
-            continue
-        lead = np.flatnonzero(np.abs(col) > 1e-12 * amax)[0]
-        if col[lead] < 0.0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
+    mag = np.abs(u)
+    amax = mag.max(axis=0)
+    lead = (mag > 1e-12 * amax).argmax(axis=0)
+    flip = u[lead, np.arange(s.size)] < 0.0
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
     return SvdFactors(u=u, sigma=s, v=v)
 
 

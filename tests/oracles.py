@@ -238,3 +238,70 @@ def _softmax(logits):
 def _chain_softmax(weights, grad_weights):
     inner = (weights * grad_weights).sum(axis=1, keepdims=True)
     return weights * (grad_weights - inner)
+
+
+def loop_sign_convention(u, s, vt):
+    """The SVD sign convention applied one column at a time: the first
+    entry of each left vector above 1e-12 of its column's max is made
+    nonnegative, flipping the matching right vector.  Returns (u, v)."""
+    v = vt.T.copy()
+    u = u.copy()
+    for j in range(s.size):
+        col = u[:, j]
+        amax = np.abs(col).max()
+        if amax == 0.0:
+            continue
+        lead = np.flatnonzero(np.abs(col) > 1e-12 * amax)[0]
+        if col[lead] < 0.0:
+            u[:, j] = -col
+            v[:, j] = -v[:, j]
+    return u, v
+
+
+def full_space_lrr(data, lam=0.2, rho=1.01, max_iter=10_000, tol=1e-7, mu0=1e-6,
+                   mu_max=1e10):
+    """Low-rank self-expression by the inexact augmented Lagrangian on N x N
+    iterates, singular-value thresholding by a full SVD of each.
+
+    Returns (C, E, iterations, final constraint residual); raises
+    RuntimeError where the package raises DivergenceError.
+    """
+    data = np.asarray(data, float)
+    n = data.shape[1]
+    gram = data.T @ data
+    inv_lhs = np.linalg.inv(gram + np.eye(n))
+    c = np.zeros((n, n))
+    err = np.zeros_like(data)
+    y1 = np.zeros_like(data)
+    y2 = np.zeros((n, n))
+    mu = mu0
+    prev_primal = np.inf
+    growth_streak = 0
+    iterations = max_iter
+    primal = np.inf
+    for it in range(max_iter):
+        u, sigma, vt = np.linalg.svd(c + y2 / mu, full_matrices=False)
+        keep = sigma > 1.0 / mu
+        aux = (u[:, keep] * (sigma[keep] - 1.0 / mu)) @ vt[keep]
+        c = inv_lhs @ (gram - data.T @ err + aux + (data.T @ y1 - y2) / mu)
+        resid = data - data @ c
+        shrunk = resid + y1 / mu
+        norms = np.linalg.norm(shrunk, axis=0)
+        err = shrunk * (np.maximum(norms - lam / mu, 0.0) / np.maximum(norms, 1e-300))
+        gap_data = resid - err
+        gap_aux = c - aux
+        primal = float(max(np.abs(gap_data).max(), np.abs(gap_aux).max()))
+        if primal < tol:
+            iterations = it + 1
+            break
+        if primal > prev_primal:
+            growth_streak += 1
+            if growth_streak > 500:
+                raise RuntimeError("constraint residual grew for over 500 iterations")
+        else:
+            growth_streak = 0
+        prev_primal = primal
+        y1 = y1 + mu * gap_data
+        y2 = y2 + mu * gap_aux
+        mu = min(mu_max, mu * rho)
+    return c, err, iterations, primal

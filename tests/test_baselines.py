@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajseg import baselines as B
 from trajseg import metrics
 from trajseg.errors import DegenerateInputError, InvalidInputError
+from trajseg.scene_synth import SceneConfig, make_scene
 
-from oracles import random_orthonormal
+from oracles import full_space_lrr, random_orthonormal
 
 
 def union_of_subspaces(rng, ambient, dims, counts, noise=0.0):
@@ -215,3 +217,75 @@ class TestPipeline:
         base = B.ssc_admm(data)
         permuted = B.ssc_admm(data[:, perm])
         assert np.abs(permuted.c - base.c[np.ix_(perm, perm)]).max() < 1e-6
+
+
+def _noisy_scene_tracks(points_per_object):
+    scene = make_scene(SceneConfig(mode="rigid3d_affine", num_objects=3, frames=16,
+                                   grid=(256, 256), points_per_object=points_per_object,
+                                   noise_sigma=1.0, motion_seed=3))
+    return scene.tracks.positions[:, scene.tracks.visible_at(8)]
+
+
+def _rank_six_union():
+    return union_of_subspaces(np.random.default_rng(5), 20, [3, 3], [15, 15])[0]
+
+
+def _corrupted_column():
+    rng = np.random.default_rng(7)
+    data, _ = union_of_subspaces(rng, 20, [3], [20])
+    v = rng.standard_normal(20)
+    data[:, 4] = 2.0 * v / np.linalg.norm(v)
+    return data
+
+
+class TestLrrRowSpace:
+    """The row-space solve against the N x N loop it replaces."""
+
+    @pytest.mark.parametrize("make,lam", [
+        pytest.param(lambda: _noisy_scene_tracks(15), 0.2, id="noisy-scene-2T-below-N"),
+        pytest.param(_rank_six_union, 2.0, id="rank-six-union"),
+        pytest.param(lambda: _noisy_scene_tracks(15)[:, :24], 0.2, id="N-below-2T"),
+        pytest.param(_corrupted_column, 0.2, id="corrupted-column"),
+    ])
+    def test_matches_full_space_loop(self, make, lam):
+        data = make()
+        out = B.lrr(data, lam=lam)
+        c, err, iterations, primal = full_space_lrr(data, lam=lam)
+        assert out.iterations == iterations
+        assert out.converged
+        assert np.abs(out.c - c).max() <= 1e-10 * np.abs(c).max()
+        assert np.abs(out.noise - err).max() <= 1e-10 * np.abs(err).max()
+        # primal is a max norm of O(|D|) differences that ends just under
+        # tol = 1e-7, so the two loops' round-off in it (1e-15 to 1e-14) is
+        # up to ~1e-7 of it
+        assert abs(out.primal_residual - primal) <= 1e-6 * primal
+
+
+class TestConvergedFlag:
+    def test_ssc_converged_and_capped(self):
+        rng = np.random.default_rng(2)
+        d1 = random_orthonormal(rng, 6, 1)
+        d2 = random_orthonormal(rng, 6, 1)
+        data = np.column_stack([d1, 1.7 * d1, d2, -0.8 * d2])
+        done = B.ssc_admm(data)
+        assert done.converged and done.iterations < 200
+        capped = B.ssc_admm(data, max_iter=3)
+        assert not capped.converged and capped.iterations == 3
+
+    def test_lrr_converged_and_capped(self):
+        data = _rank_six_union()
+        done = B.lrr(data, lam=2.0)
+        assert done.converged and done.primal_residual < 1e-7
+        capped = B.lrr(data, lam=2.0, max_iter=5)
+        assert not capped.converged and capped.iterations == 5
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000))
+def test_lrr_permutation_equivariance(seed):
+    rng = np.random.default_rng(seed)
+    data, _ = union_of_subspaces(rng, 8, [2, 2], [6, 6], noise=0.01)
+    perm = rng.permutation(data.shape[1])
+    base = B.lrr(data)
+    permuted = B.lrr(data[:, perm])
+    assert np.abs(permuted.c - base.c[np.ix_(perm, perm)]).max() < 1e-6

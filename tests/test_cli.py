@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import trajseg
+from trajseg import baselines
 from trajseg.cli import main
+from trajseg.errors import DivergenceError
+from trajseg.scene_io import load_scene
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,33 @@ class TestSegment:
                      "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
         report = json.loads((out / "metrics.json").read_text())
         assert report["k_pred"] >= 1
+
+    @pytest.mark.parametrize("method", ["ssc", "lrr"])
+    def test_run_json_reports_solver(self, scene_dir, tmp_path, method):
+        out = tmp_path / method
+        assert main(["segment", "--scene", str(scene_dir), "--method", method,
+                     "--out", str(out), "--seed", "1"]) == 0
+        run = json.loads((out / "run.json").read_text())
+        scene = load_scene(scene_dir)
+        tracks = scene.tracks.positions[:, scene.tracks.visible_at(scene.config.frames // 2)]
+        coeff = baselines.ssc_admm(tracks) if method == "ssc" else baselines.lrr(tracks)
+        assert run["iterations"] == coeff.iterations
+        assert run["primal_residual"] == coeff.primal_residual
+        assert run["converged"] is coeff.converged
+
+    def test_diverged_solver_exit_code(self, scene_dir, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("constraint residual grew",
+                                  diagnostics={"residuals": [0.5, 2.25]})
+
+        monkeypatch.setattr(baselines, "lrr", diverge)
+        rc = main(["segment", "--scene", str(scene_dir), "--method", "lrr",
+                   "--out", str(tmp_path / "lrr"), "--seed", "1"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert "constraint residual grew" in err and "2.25" in err
 
 
 class TestSweep:

@@ -7,6 +7,7 @@ from trajseg.errors import InvalidInputError, RangeError
 
 from oracles import (
     gradient_descent_lstsq_residual,
+    loop_sign_convention,
     random_orthonormal,
     singular_values_via_jacobi,
 )
@@ -206,3 +207,22 @@ def test_eckart_young_identity(seed):
     for r in (1, 3):
         err2 = np.linalg.norm(a - nk.truncate(f, r)) ** 2
         assert abs(err2 - (f.sigma[r:] ** 2).sum()) <= 1e-8 * f.sigma[0] ** 2
+
+
+def test_svd_sign_convention_bitwise_equal_to_column_loop():
+    # dense, one zero column, mostly zero entries, all zeros: the array form
+    # must give the loop's factors bit for bit, or reruns change
+    rng = np.random.default_rng(13)
+    for i in range(400):
+        m, n = (int(v) for v in rng.integers(1, 12, 2))
+        a = rng.standard_normal((m, n))
+        kind = i % 4
+        if kind == 1:
+            a[:, rng.integers(n)] = 0.0
+        elif kind == 2:
+            a[rng.random((m, n)) < 0.7] = 0.0
+        elif kind == 3:
+            a[:] = 0.0
+        f = nk.svd(a)
+        u, v = loop_sign_convention(*np.linalg.svd(a, full_matrices=False))
+        assert np.array_equal(f.u, u) and np.array_equal(f.v, v)
