@@ -1,9 +1,10 @@
 """Low-rank trajectory grouping for unsupervised motion segmentation.
 
 The package provides trajectory and flow losses with analytic gradients,
-a per-sequence optimizer, subspace-clustering baselines, clustering
-metrics, a synthetic rigid-scene generator, corruption sweeps of the
-loss landscape, and a CLI tying them together.
+a per-sequence optimizer that minimises one trajectory loss and refines
+its hard labels under the same loss, subspace-clustering baselines,
+clustering metrics, a synthetic rigid-scene generator, corruption sweeps
+of the loss landscape, and a CLI tying them together.
 """
 
 from .errors import (
@@ -14,7 +15,7 @@ from .errors import (
     TrajsegError,
     UndefinedMetricError,
 )
-from .losses import LossBreakdown, LossWeights, SoftAssignment, combined_loss
+from .losses import SoftAssignment
 from .numkernel import SvdFactors
 from .optimizer import OptimConfig, OptimTrace, optimize_sequence, segment_tracks
 from .scene_synth import SceneConfig, SceneTruth, TrajectoryMatrix, make_scene
@@ -30,9 +31,6 @@ __all__ = [
     "DivergenceError",
     "SvdFactors",
     "SoftAssignment",
-    "LossWeights",
-    "LossBreakdown",
-    "combined_loss",
     "OptimConfig",
     "OptimTrace",
     "optimize_sequence",

@@ -201,7 +201,7 @@ def _center_visible(scene):
     return np.flatnonzero(keep)
 
 
-def _segment_lrtl(scene, tracks, config, seed):
+def _segment_lrtl(tracks, config, seed):
     cfg = OptimConfig(
         k=max(int(config["over_segments"]), 2),
         steps=int(config["steps"]),
@@ -209,7 +209,6 @@ def _segment_lrtl(scene, tracks, config, seed):
         step_size=float(config["step_size"]),
         seed=seed,
         loss_kind=config["loss"],
-        grid=scene.config.grid,
     )
     target = config["target_segments"]
     labels, info = segment_tracks(
@@ -222,7 +221,7 @@ def _segment_lrtl(scene, tracks, config, seed):
     return labels, {"final_loss": info["final_loss"], "restart_losses": info["restart_losses"]}
 
 
-def _segment_baseline(scene, tracks, truth, keep, method, config, seed, out):
+def _segment_baseline(tracks, truth, keep, method, config, seed, out):
     lo, hi = config["k_range"]
     ks = list(range(int(lo), int(hi) + 1))
     solver = {}
@@ -296,10 +295,10 @@ def cmd_segment(args) -> int:
         tracks = scene.tracks.positions[:, keep]
     truth = scene.labels[keep] if scene.labels is not None else None
     if args.method == "lrtl":
-        labels, run_info = _segment_lrtl(scene, tracks, config, args.seed)
+        labels, run_info = _segment_lrtl(tracks, config, args.seed)
     else:
         labels, run_info = _segment_baseline(
-            scene, tracks, truth, keep, args.method, config, args.seed, out
+            tracks, truth, keep, args.method, config, args.seed, out
         )
     full = np.full(scene.tracks.n_tracks, -1, dtype=int)
     full[keep] = labels

@@ -1,24 +1,26 @@
 """Loss functions over soft segmentations of flow fields and point tracks.
 
 Two families live here.  The flow losses fit a six-parameter quadratic
-motion model per segment and score the masked fitting residual.  The
-trajectory losses score how far each soft group of tracks is from being
-low-rank: the tail loss sums trailing singular values, the reconstruction
-loss takes the squared residual against the best rank-r approximation, and
-the projective loss does the same on homogeneous coordinates at rank 4.
+motion model per segment and score the masked fitting residual, either of
+a pixel flow field or, for the tracks-as-flow loss, of the tracks'
+frame-to-frame displacements.  The trajectory losses score how far each
+soft group of tracks is from being low-rank: the tail loss sums trailing
+singular values, the reconstruction loss takes the squared residual
+against the best rank-r approximation, and the projective loss does the
+same on homogeneous coordinates at rank 4.
 Analytic gradients are provided with respect to pre-softmax logits.  The
 tail loss's value and gradient come from one batched eigendecomposition of
 the groups' Gram matrices, with a Rayleigh-Ritz refinement of the tail for
 groups whose Gram spectrum reaches round-off (see ``_gram_tail``); the
 value-only ``trajectory_tail_loss`` stays on the exact SVD.  The
 reconstruction and projective losses share one batched-SVD residual kernel
-(``_rank_residual_terms``), and ``hard_group_loss`` scores one hard group by
-the same rules from its exact spectrum.
+(``_rank_residual_terms``).  ``hard_group_loss`` scores one hard group under
+any of the losses that the optimizer runs, at one-hot weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +29,6 @@ from .errors import InvalidInputError, RangeError
 
 __all__ = [
     "SoftAssignment",
-    "LossWeights",
-    "LossBreakdown",
     "softmax",
     "quad_embed",
     "embed_points",
@@ -42,9 +42,6 @@ __all__ = [
     "trajectory_projective_grad",
     "hard_group_loss",
     "tracks_as_flow_loss",
-    "bilinear_sample",
-    "temporal_smooth_loss",
-    "combined_loss",
 ]
 
 DEFAULT_RANK = 5
@@ -114,64 +111,6 @@ class SoftAssignment:
         w = np.zeros((labels.size, k))
         w[np.arange(labels.size), labels] = 1.0
         return cls(weights=w, mode=mode, grid=grid)
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Relative weights of the flow, trajectory and temporal terms."""
-
-    lambda_f: float = 0.03
-    lambda_t: float = 5e-5
-    lambda_tau: float = 0.1
-
-    def __post_init__(self):
-        if min(self.lambda_f, self.lambda_t, self.lambda_tau) < 0:
-            raise InvalidInputError("loss weights must be nonnegative")
-
-    def to_json(self):
-        return {
-            "lambda_f": self.lambda_f,
-            "lambda_t": self.lambda_t,
-            "lambda_tau": self.lambda_tau,
-        }
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Named loss terms plus their weighted combination.
-
-    Only the flow, tail and temporal terms enter ``weighted_total``; the
-    reconstruction and projective values are reported for comparison.
-    """
-
-    l_f: float
-    l_t: float
-    l_rec: float
-    l_per: float
-    l_tau: float
-    weights: LossWeights
-    r: int
-    weighted_total: float = field(init=False)
-
-    def __post_init__(self):
-        total = (
-            self.weights.lambda_f * self.l_f
-            + self.weights.lambda_t * self.l_t
-            + self.weights.lambda_tau * self.l_tau
-        )
-        object.__setattr__(self, "weighted_total", total)
-
-    def to_json(self):
-        return {
-            "l_f": self.l_f,
-            "l_t": self.l_t,
-            "l_rec": self.l_rec,
-            "l_per": self.l_per,
-            "l_tau": self.l_tau,
-            "total": self.weighted_total,
-            "r": self.r,
-            "weights": self.weights.to_json(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +385,19 @@ def trajectory_projective_value_and_grad(logits, tracks):
 
 
 def hard_group_loss(columns, kind="tail", r=DEFAULT_RANK) -> float:
-    """Loss of one hard group from the exact spectrum of its track columns.
+    """Loss of one hard group of track columns: the soft loss at one-hot
+    weights.
 
     The tail sums sigma_i from index r on (zero when the group has fewer
     than r singular values), reconstruction sums sigma_i^2 beyond r, and
-    projective sums sigma_i^2 beyond 4 of the homogeneous lift.  These are
-    the soft losses at one-hot weights; ``tracks_as_flow`` has no spectral
-    rule of its own and is scored like the tail.  An empty group scores 0.
+    projective sums sigma_i^2 beyond 4 of the homogeneous lift, all from the
+    group's exact spectrum.  ``tracks_as_flow`` fits the group's columns at
+    unit weights.  An empty group scores 0.
     """
+    if kind == "tracks_as_flow":
+        if columns.shape[1] == 0:
+            return 0.0
+        return _tracks_as_flow(np.ones((columns.shape[1], 1)), columns)[0]
     if kind == "projective":
         sigma = np.linalg.svd(_lift_homogeneous(columns), compute_uv=False)
         return float((sigma[4:] ** 2).sum())
@@ -464,36 +408,29 @@ def hard_group_loss(columns, kind="tail", r=DEFAULT_RANK) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tracks-as-flow and temporal smoothing
+# tracks-as-flow
 # ---------------------------------------------------------------------------
 
 
-def _lattice_points(tracks, t, h, w):
-    """Frame-t positions mapped to the embedding's lattice normalisation."""
-    sx = w / (w - 1) if w > 1 else 0.0
-    sy = h / (h - 1) if h > 1 else 0.0
-    return np.column_stack([tracks[2 * t] * sx, tracks[2 * t + 1] * sy])
-
-
-def tracks_as_flow_loss(assignment: SoftAssignment, tracks, h, w) -> float:
+def tracks_as_flow_loss(assignment: SoftAssignment, tracks) -> float:
     """Treat adjacent-frame displacements as a flow field at the points.
 
     For every consecutive frame pair the per-point displacement is fitted
     by the masked quadratic model evaluated at the earlier positions, and
     the squared residuals are summed over pairs and segments.
     """
-    value, _ = _tracks_as_flow(assignment.weights, tracks, h, w)
+    value, _ = _tracks_as_flow(assignment.weights, tracks)
     return value
 
 
-def tracks_as_flow_value_and_grad(logits, tracks, h, w):
+def tracks_as_flow_value_and_grad(logits, tracks):
     logits = nk.as_matrix(logits, "logits")
     weights = softmax(logits)
-    value, grad_weights = _tracks_as_flow(weights, tracks, h, w)
+    value, grad_weights = _tracks_as_flow(weights, tracks)
     return value, _chain_softmax(weights, grad_weights)
 
 
-def _tracks_as_flow(weights, tracks, h, w):
+def _tracks_as_flow(weights, tracks):
     tracks = _check_tracks(weights, tracks, frame_paired=True)
     frames = tracks.shape[0] // 2
     if frames < 2:
@@ -501,7 +438,7 @@ def _tracks_as_flow(weights, tracks, h, w):
     total = 0.0
     grad = np.zeros_like(weights)
     for t in range(frames - 1):
-        basis = embed_points(_lattice_points(tracks, t, h, w))
+        basis = embed_points(np.column_stack([tracks[2 * t], tracks[2 * t + 1]]))
         disp = np.column_stack(
             [tracks[2 * t + 2] - tracks[2 * t], tracks[2 * t + 3] - tracks[2 * t + 1]]
         )
@@ -510,112 +447,3 @@ def _tracks_as_flow(weights, tracks, h, w):
             total += val
             grad[:, k] += g
     return total, grad
-
-
-def bilinear_sample(values, positions):
-    """Bilinear interpolation of a (H, W, C) grid at (N, 2) pixel positions.
-
-    Positions use (x, y) pixel coordinates with cell centers at integers.
-    Out-of-grid positions are clamped to the border.
-
-    Returns (samples (N, C), number of clamped positions).
-    """
-    values = np.asarray(values, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    h, w = values.shape[:2]
-    x = positions[:, 0]
-    y = positions[:, 1]
-    xc = np.clip(x, 0.0, w - 1.0)
-    yc = np.clip(y, 0.0, h - 1.0)
-    clamped = int(((x != xc) | (y != yc)).sum())
-    x0 = np.minimum(np.floor(xc).astype(int), max(w - 2, 0))
-    y0 = np.minimum(np.floor(yc).astype(int), max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (xc - x0)[:, None]
-    fy = (yc - y0)[:, None]
-    out = (1 - fy) * ((1 - fx) * values[y0, x0] + fx * values[y0, x1]) + fy * (
-        (1 - fx) * values[y1, x0] + fx * values[y1, x1]
-    )
-    return out, clamped
-
-
-def temporal_smooth_loss(
-    masks_a: SoftAssignment,
-    masks_b: SoftAssignment,
-    window,
-    t: int,
-    dt: int = 5,
-    diagnostics: dict | None = None,
-) -> float:
-    """Squared mismatch of two frames' masks sampled along the tracks.
-
-    The first mask grid is sampled (bilinearly) at the window positions of
-    frame ``t`` and the second at frame ``t + dt``; a track that stays on
-    the same segment sees identical values.  Out-of-grid positions clamp
-    to the border and are counted in ``diagnostics['clamped']``.
-    """
-    positions = getattr(window, "positions", window)
-    positions = nk.as_matrix(positions, "window")
-    frames = positions.shape[0] // 2
-    if not (0 <= t < frames and 0 <= t + dt < frames):
-        raise RangeError(f"frames {t} and {t + dt} must lie within the window")
-    for m in (masks_a, masks_b):
-        if m.mode != "pixel":
-            raise InvalidInputError("temporal smoothing expects pixel-mode masks")
-    if masks_a.grid != masks_b.grid or masks_a.n_segments != masks_b.n_segments:
-        raise InvalidInputError("mask grids must have identical shape")
-    h, w = masks_a.grid
-
-    def pixels(frame):
-        return np.column_stack(
-            [positions[2 * frame] * w, positions[2 * frame + 1] * h]
-        )
-
-    grid_a = masks_a.weights.reshape(h, w, -1)
-    grid_b = masks_b.weights.reshape(h, w, -1)
-    sample_a, clamped_a = bilinear_sample(grid_a, pixels(t))
-    sample_b, clamped_b = bilinear_sample(grid_b, pixels(t + dt))
-    if diagnostics is not None:
-        diagnostics["clamped"] = clamped_a + clamped_b
-    return float(((sample_a - sample_b) ** 2).sum())
-
-
-# ---------------------------------------------------------------------------
-# combination
-# ---------------------------------------------------------------------------
-
-
-def combined_loss(
-    masks: SoftAssignment | None = None,
-    assignment: SoftAssignment | None = None,
-    flow=None,
-    tracks=None,
-    weights: LossWeights | None = None,
-    r: int = DEFAULT_RANK,
-    *,
-    masks_ahead: SoftAssignment | None = None,
-    window=None,
-    frame: int = 0,
-    dt: int = 5,
-) -> LossBreakdown:
-    """Evaluate every loss term that its inputs allow and combine them.
-
-    The weighted total is lambda_f * l_f + lambda_t * l_t + lambda_tau *
-    l_tau; the reconstruction and projective terms are evaluated for
-    reporting whenever an assignment and tracks are given.  A term whose
-    inputs are missing is reported as 0.
-    """
-    weights = weights if weights is not None else LossWeights()
-    l_f = flow_loss(masks, flow)[0] if masks is not None and flow is not None else 0.0
-    l_t = l_rec = l_per = 0.0
-    if assignment is not None and tracks is not None:
-        l_t = trajectory_tail_loss(assignment, tracks, r)
-        l_rec = trajectory_reconstruction_loss(assignment, tracks, r)
-        l_per = trajectory_projective_loss(assignment, tracks)
-    l_tau = 0.0
-    if masks is not None and masks_ahead is not None and window is not None:
-        l_tau = temporal_smooth_loss(masks, masks_ahead, window, frame, dt)
-    return LossBreakdown(
-        l_f=l_f, l_t=l_t, l_rec=l_rec, l_per=l_per, l_tau=l_tau, weights=weights, r=r
-    )

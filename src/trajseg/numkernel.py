@@ -1,11 +1,11 @@
 """Dense linear-algebra kernels used by the losses and baselines.
 
 Everything here is a pure function of float64 arrays.  The kernels are
-deliberately small: a compact SVD with a fixed sign convention, truncated
-reconstruction, a ridge-stabilised least-squares solve, a symmetric
-eigendecomposition, and the sum of the trailing singular values.  The
-trajectory losses run their own batched decompositions of all groups at
-once in ``losses``; the flow loss and the baselines use the kernels here.
+deliberately small: a compact SVD with a fixed sign convention, a
+ridge-stabilised least-squares solve and a symmetric eigendecomposition.
+The trajectory losses run their own batched decompositions of all groups
+at once in ``losses``; the flow losses and the baselines use the kernels
+here.
 """
 
 from __future__ import annotations
@@ -14,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, RangeError
+from .errors import InvalidInputError
 
 __all__ = [
     "SvdFactors",
     "svd",
-    "truncate",
     "lstsq",
     "sym_eig",
-    "tail_singular_sum",
 ]
 
 
@@ -78,22 +76,6 @@ def svd(a) -> SvdFactors:
     return SvdFactors(u=u, sigma=s, v=v)
 
 
-def truncate(f: SvdFactors, r: int) -> np.ndarray:
-    """Rank-``r`` reconstruction from SVD factors.
-
-    Keeps the ``r`` leading singular triples; ``r = 0`` yields the zero
-    matrix.  ``r`` beyond the number of factors is a RangeError.
-    """
-    q = f.sigma.size
-    if not 0 <= r <= q:
-        raise RangeError(f"truncation rank {r} outside [0, {q}]")
-    m = f.u.shape[0]
-    n = f.v.shape[0]
-    if r == 0:
-        return np.zeros((m, n))
-    return (f.u[:, :r] * f.sigma[:r]) @ f.v[:, :r].T
-
-
 def lstsq(e, f) -> np.ndarray:
     """Least squares ``argmin_theta || e @ theta - f ||_F``.
 
@@ -140,16 +122,3 @@ def sym_eig(s):
         raise InvalidInputError("matrix is not symmetric within 1e-10")
     w, v = np.linalg.eigh(s)
     return w, v
-
-
-def tail_singular_sum(a, r: int) -> float:
-    """Sum of the r-th and all later singular values of ``a`` (1-based r).
-
-    Driving this to zero pushes ``a`` toward rank r-1 or lower.
-    """
-    a = as_matrix(a)
-    q = min(a.shape)
-    if not 1 <= r <= q:
-        raise RangeError(f"rank index {r} outside [1, {q}]")
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[r - 1 :].sum())

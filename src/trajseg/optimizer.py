@@ -9,7 +9,7 @@ experiments while keeping the loss machinery identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,9 +34,8 @@ LOSS_KINDS = ("tail", "reconstruction", "projective", "tracks_as_flow")
 class OptimConfig:
     """Settings for one optimization run.
 
-    The default weights activate only the trajectory term; the flow term
-    joins in when flow fields are supplied and ``lambda_f`` is nonzero.
-    ``loss_kind`` picks the trajectory loss variant.  ``early_stop`` ends
+    ``loss_kind`` picks the trajectory loss that the run minimises, in the
+    soft phase and in the discrete refinement alike.  ``early_stop`` ends
     the run once the relative loss change over 100 steps falls below
     1e-7 (the trace's convergence flag uses the same rule either way).
     """
@@ -50,10 +49,6 @@ class OptimConfig:
     eps: float = 1e-8
     seed: int = 0
     loss_kind: str = "tail"
-    weights: L.LossWeights = field(
-        default_factory=lambda: L.LossWeights(0.0, 1.0, 0.0)
-    )
-    grid: tuple = (64, 64)
     init_std: float = 0.01
     early_stop: bool = True
 
@@ -73,21 +68,15 @@ class OptimTrace:
     """Per-step record of one run."""
 
     losses: np.ndarray
-    l_f: np.ndarray
-    l_t: np.ndarray
-    l_tau: np.ndarray
     final_logits: np.ndarray
     wall_time: float
     converged: bool
     steps_run: int
 
     def to_csv_text(self) -> str:
-        lines = ["step,loss_total,l_f,l_t,l_tau"]
+        lines = ["step,loss"]
         for i in range(self.steps_run):
-            lines.append(
-                f"{i},{self.losses[i]:.17g},{self.l_f[i]:.17g},"
-                f"{self.l_t[i]:.17g},{self.l_tau[i]:.17g}"
-            )
+            lines.append(f"{i},{self.losses[i]:.17g}")
         return "\n".join(lines) + "\n"
 
 
@@ -99,39 +88,10 @@ def _traj_term(cfg, logits, tracks):
         return L.trajectory_reconstruction_value_and_grad(logits, tracks, cfg.r)
     if kind == "projective":
         return L.trajectory_projective_value_and_grad(logits, tracks)
-    h, w = cfg.grid
-    return L.tracks_as_flow_value_and_grad(logits, tracks, h, w)
+    return L.tracks_as_flow_value_and_grad(logits, tracks)
 
 
-def _sampled_flow_term(logits, tracks, flows, grid):
-    """Flow-model fit at the track positions using measured flow fields.
-
-    Flow vectors are read at the nearest pixel of each track position per
-    frame and rescaled to normalised units so they are comparable with the
-    track coordinates.
-    """
-    h, w = grid
-    frames = tracks.shape[0] // 2
-    pairs = min(frames - 1, len(flows))
-    weights = L.softmax(logits)
-    total = 0.0
-    grad = np.zeros_like(logits)
-    scale = np.array([w, h], dtype=float)
-    for t in range(pairs):
-        px = np.clip(np.rint(tracks[2 * t] * w).astype(int), 0, w - 1)
-        py = np.clip(np.rint(tracks[2 * t + 1] * h).astype(int), 0, h - 1)
-        vectors = flows[t][py * w + px] / scale
-        basis = L.embed_points(
-            np.column_stack([tracks[2 * t], tracks[2 * t + 1]])
-        )
-        for k in range(weights.shape[1]):
-            val, g = L._fit_terms(weights[:, k], basis, vectors)
-            total += val
-            grad[:, k] += g
-    return total, L._chain_softmax(weights, grad)
-
-
-def optimize_sequence(tracks, flows=None, cfg: OptimConfig | None = None):
+def optimize_sequence(tracks, cfg: OptimConfig | None = None):
     """Optimize per-track logits; returns (assignment, trace).
 
     ``tracks`` is a (2T, N) matrix of normalised positions (or an object
@@ -150,34 +110,18 @@ def optimize_sequence(tracks, flows=None, cfg: OptimConfig | None = None):
     logits = rng.normal(0.0, cfg.init_std, (n, cfg.k))
     m = np.zeros_like(logits)
     v = np.zeros_like(logits)
-    lam = cfg.weights
-    use_flow = flows is not None and lam.lambda_f > 0.0
 
     losses = np.zeros(cfg.steps)
-    lf_arr = np.zeros(cfg.steps)
-    lt_arr = np.zeros(cfg.steps)
-    ltau_arr = np.zeros(cfg.steps)
     converged = False
     steps_run = 0
     start = time.perf_counter()
     for step in range(cfg.steps):
-        l_t, g_t = _traj_term(cfg, logits, positions)
-        grad = lam.lambda_t * g_t
-        l_f = 0.0
-        if use_flow:
-            l_f, g_f = _sampled_flow_term(logits, positions, flows, cfg.grid)
-            grad = grad + lam.lambda_f * g_f
-        total = lam.lambda_t * l_t + lam.lambda_f * l_f
+        total, grad = _traj_term(cfg, logits, positions)
         losses[step] = total
-        lf_arr[step] = l_f
-        lt_arr[step] = l_t
         steps_run = step + 1
         if not np.isfinite(total) or not np.all(np.isfinite(grad)):
             trace = OptimTrace(
                 losses=losses[:steps_run],
-                l_f=lf_arr[:steps_run],
-                l_t=lt_arr[:steps_run],
-                l_tau=ltau_arr[:steps_run],
                 final_logits=logits,
                 wall_time=time.perf_counter() - start,
                 converged=False,
@@ -199,9 +143,6 @@ def optimize_sequence(tracks, flows=None, cfg: OptimConfig | None = None):
                     break
     trace = OptimTrace(
         losses=losses[:steps_run],
-        l_f=lf_arr[:steps_run],
-        l_t=lt_arr[:steps_run],
-        l_tau=ltau_arr[:steps_run],
         final_logits=logits,
         wall_time=time.perf_counter() - start,
         converged=converged,

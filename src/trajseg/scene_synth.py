@@ -38,7 +38,6 @@ __all__ = [
     "ObjectGeometry",
     "SceneTruth",
     "make_scene",
-    "flow_field",
     "window",
 ]
 
@@ -850,13 +849,6 @@ def make_scene(cfg: SceneConfig) -> SceneTruth:
     raise DegenerateInputError(
         f"could not generate a valid scene after {_MAX_ATTEMPTS} attempts: {last}"
     )
-
-
-def flow_field(scene: SceneTruth, t: int) -> np.ndarray:
-    """Dense flow between frames t and t+1, (H*W, 2) in pixels/frame."""
-    if not 0 <= t < scene.config.frames - 1:
-        raise RangeError(f"frame {t} outside [0, {scene.config.frames - 2}]")
-    return scene.flows[t].copy()
 
 
 def _reflect_index(i, frames):

@@ -172,6 +172,17 @@ def matrix_with_spectrum(rng, m, n, sigma):
     return (u * sigma) @ v.T
 
 
+def svd_tail_sum(a, r):
+    """Sum of the singular values of ``a`` from the r-th on (1-based)."""
+    return float(np.linalg.svd(np.asarray(a, float), compute_uv=False)[r - 1 :].sum())
+
+
+def svd_truncate(a, r):
+    """Best rank-r approximation of ``a`` from its full SVD."""
+    u, sigma, vt = np.linalg.svd(np.asarray(a, float), full_matrices=False)
+    return (u[:, :r] * sigma[:r]) @ vt[:r]
+
+
 def svd_tail_value_and_grad(logits, tracks, r):
     """Tail loss sum_{i>=r} sigma_i over softmax-masked groups and its
     gradient w.r.t. the logits, from a full batched SVD.

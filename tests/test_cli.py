@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import trajseg
-from trajseg import baselines
+from trajseg import baselines, losses
 from trajseg.cli import main
 from trajseg.errors import DivergenceError
+from trajseg.optimizer import hard_loss
 from trajseg.scene_io import load_scene
 
 
@@ -91,6 +92,24 @@ class TestSegment:
         assert rc == 0
         report = json.loads((out / "metrics.json").read_text())
         assert report["ari"] > 0.8
+
+    def test_tracks_as_flow_reports_its_own_loss(self, scene_dir, tmp_path):
+        # the refinement and the choice of restart score the loss that the
+        # soft phase optimised, so the reported loss is that of labels.csv
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"steps": 100, "restarts": 2, "over_segments": 4,
+                                   "target_segments": 2, "loss": "tracks_as_flow"}))
+        out = tmp_path / "taf"
+        assert main(["segment", "--scene", str(scene_dir), "--method", "lrtl",
+                     "--config", str(cfg), "--out", str(out), "--seed", "2"]) == 0
+        run = json.loads((out / "run.json").read_text())
+        table = np.loadtxt(out / "labels.csv", delimiter=",", skiprows=1, dtype=int)
+        used = table[table[:, 1] >= 0]
+        tracks = load_scene(scene_dir).tracks.positions[:, used[:, 0]]
+        one_hot = losses.SoftAssignment.from_labels(used[:, 1])
+        expect = losses.tracks_as_flow_loss(one_hot, tracks)
+        assert run["final_loss"] == pytest.approx(expect, rel=1e-12)
+        assert hard_loss(tracks, used[:, 1], "tracks_as_flow") == pytest.approx(expect, rel=1e-12)
 
     def test_csv_format(self, scene_dir, tmp_path):
         out = tmp_path / "csv"

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajseg import losses as L
-from trajseg import numkernel as nk
 from trajseg.errors import InvalidInputError, RangeError
 from trajseg.optimizer import hard_loss
 from trajseg.scene_synth import SceneConfig, make_scene
@@ -12,6 +11,7 @@ from oracles import (
     central_difference_grad,
     matrix_with_spectrum,
     per_group_residual_value_and_grad,
+    svd_tail_sum,
     svd_tail_value_and_grad,
 )
 
@@ -167,7 +167,7 @@ class TestTrajectoryTailLoss:
         p = matrix_with_spectrum(rng, 12, 30, np.array([5, 3, 1, 0.5] + [0] * 8))
         ones = L.SoftAssignment(weights=np.ones((30, 1)), mode="point")
         assert L.trajectory_tail_loss(ones, p, 5) == pytest.approx(
-            nk.tail_singular_sum(p, 5), abs=1e-10
+            svd_tail_sum(p, 5), abs=1e-10
         )
         assert L.trajectory_tail_loss(ones, p, 5) < 1e-10
 
@@ -368,13 +368,12 @@ class TestTracksAsFlow:
     def test_static_tracks_zero(self):
         p = np.tile(np.random.default_rng(0).random((2, 15)), (5, 1))
         a = L.SoftAssignment(weights=np.ones((15, 1)), mode="point")
-        assert L.tracks_as_flow_loss(a, p, 32, 32) < 1e-20
+        assert L.tracks_as_flow_loss(a, p) < 1e-20
 
     def test_ground_truth_on_affine_motion(self, planar_scene):
         sc = planar_scene
         a = hard_assignment(sc.labels, 3)
-        h, w = sc.config.grid
-        value = L.tracks_as_flow_loss(a, sc.tracks.positions, h, w)
+        value = L.tracks_as_flow_loss(a, sc.tracks.positions)
         assert value < 1e-8
 
     def test_equals_per_pair_fits(self):
@@ -383,12 +382,10 @@ class TestTracksAsFlow:
         p = rng.random((8, 22))
         logits = rng.standard_normal((22, 2))
         a = L.SoftAssignment.from_logits(logits)
-        total = L.tracks_as_flow_loss(a, p, 16, 16)
+        total = L.tracks_as_flow_loss(a, p)
         expect = 0.0
-        sx = 16 / 15
         for t in range(3):
-            pts = np.column_stack([p[2 * t] * sx, p[2 * t + 1] * sx])
-            basis = L.embed_points(pts)
+            basis = L.embed_points(np.column_stack([p[2 * t], p[2 * t + 1]]))
             disp = np.column_stack([p[2 * t + 2] - p[2 * t], p[2 * t + 3] - p[2 * t + 1]])
             for k in range(2):
                 ek = a.weights[:, k : k + 1] * basis
@@ -396,92 +393,6 @@ class TestTracksAsFlow:
                 theta = np.linalg.lstsq(ek, fk, rcond=None)[0]
                 expect += float(((fk - ek @ theta) ** 2).sum())
         assert total == pytest.approx(expect, rel=1e-9)
-
-
-class TestTemporalSmooth:
-    def _pixel_masks(self, values, grid):
-        return L.SoftAssignment(weights=values, mode="pixel", grid=grid)
-
-    def test_identical_constant_masks(self):
-        grid = (4, 4)
-        w = np.tile([0.3, 0.7], (16, 1))
-        masks = self._pixel_masks(w, grid)
-        window = np.random.default_rng(0).random((12, 9))
-        assert L.temporal_smooth_loss(masks, masks, window, 0, 5) == pytest.approx(0.0)
-
-    def test_static_scene_identical_masks(self):
-        rng = np.random.default_rng(1)
-        grid = (6, 6)
-        w = rng.dirichlet(np.ones(3), 36)
-        masks = self._pixel_masks(w, grid)
-        frame = rng.random((2, 10))
-        window = np.tile(frame, (7, 1))
-        assert L.temporal_smooth_loss(masks, masks, window, 0, 5) == pytest.approx(0.0)
-
-    def test_hand_computed_bilinear(self):
-        # 2x2 grid, one segment channel; point at the cell center averages
-        # the four corners: (0.1 + 0.9 + 0.3 + 0.7) / 4 = 0.5
-        grid = (2, 2)
-        w1 = np.array([[0.1, 0.9], [0.9, 0.1], [0.3, 0.7], [0.7, 0.3]])
-        w2 = np.array([[1.0, 0.0]] * 4)
-        masks_a = self._pixel_masks(w1, grid)
-        masks_b = self._pixel_masks(w2, grid)
-        window = np.array([[0.25], [0.25], [0.25], [0.25]])  # 2 frames, 1 track
-        # pixel position = 0.25 * 2 = 0.5 in both frames
-        val = L.temporal_smooth_loss(masks_a, masks_b, window, 0, 1)
-        assert val == pytest.approx((0.5 - 1.0) ** 2 + (0.5 - 0.0) ** 2)
-
-    def test_out_of_window_frames(self):
-        masks = self._pixel_masks(np.ones((4, 1)), (2, 2))
-        window = np.random.default_rng(0).random((4, 3))
-        with pytest.raises(RangeError):
-            L.temporal_smooth_loss(masks, masks, window, 0, 5)
-
-    def test_clamp_diagnostics(self):
-        masks = self._pixel_masks(np.ones((4, 1)), (2, 2))
-        window = np.array([[2.0], [2.0], [0.1], [0.1]])  # first frame out of grid
-        diag = {}
-        L.temporal_smooth_loss(masks, masks, window, 0, 1, diagnostics=diag)
-        assert diag["clamped"] == 1
-
-
-class TestCombinedLoss:
-    def test_all_weights_zero(self):
-        w = L.LossWeights(0.0, 0.0, 0.0)
-        out = L.combined_loss(weights=w)
-        assert out.weighted_total == 0.0
-
-    def test_flow_only(self, planar_scene):
-        sc = planar_scene
-        masks = hard_assignment(sc.masks[0].ravel(), 3, mode="pixel", grid=sc.config.grid)
-        flow = sc.flows[0] / np.array(sc.config.grid[::-1], dtype=float)
-        out = L.combined_loss(
-            masks=masks, flow=flow, weights=L.LossWeights(1.0, 0.0, 0.0)
-        )
-        assert out.weighted_total == pytest.approx(L.flow_loss(masks, flow)[0])
-
-    def test_default_weights_recombination(self, affine_scene):
-        sc = affine_scene
-        rng = np.random.default_rng(0)
-        logits = rng.standard_normal((sc.tracks.n_tracks, 4))
-        a = L.SoftAssignment.from_logits(logits)
-        masks = hard_assignment(sc.masks[0].ravel(), 4, mode="pixel", grid=sc.config.grid)
-        masks2 = hard_assignment(sc.masks[5].ravel(), 4, mode="pixel", grid=sc.config.grid)
-        flow = sc.flows[0] / np.array(sc.config.grid[::-1], dtype=float)
-        out = L.combined_loss(
-            masks=masks,
-            assignment=a,
-            flow=flow,
-            tracks=sc.tracks.positions,
-            masks_ahead=masks2,
-            window=sc.tracks.positions,
-            frame=0,
-            dt=5,
-        )
-        expect = 0.03 * out.l_f + 5e-5 * out.l_t + 0.1 * out.l_tau
-        assert out.weighted_total == pytest.approx(expect, abs=1e-12)
-        js = out.to_json()
-        assert set(js) == {"l_f", "l_t", "l_rec", "l_per", "l_tau", "total", "r", "weights"}
 
 
 @settings(max_examples=15, deadline=None)
@@ -711,13 +622,13 @@ class TestHardAgreesWithSoft:
             "tail": L.trajectory_tail_loss(a, p, r),
             "reconstruction": L.trajectory_reconstruction_loss(a, p, r),
             "projective": L.trajectory_projective_loss(a, p),
+            "tracks_as_flow": L.tracks_as_flow_loss(a, p),
         }
 
     def assert_agree(self, labels, k, p, r=5):
         for kind, soft in self.soft_losses(labels, k, p, r).items():
             hard = hard_loss(p, labels, kind, r)
             assert hard == pytest.approx(soft, rel=1e-12), kind
-        assert hard_loss(p, labels, "tracks_as_flow", r) == hard_loss(p, labels, "tail", r)
 
     def test_noisy_scene_truth_labels(self):
         sc = _rigid_scene(1.0)
@@ -731,6 +642,6 @@ class TestHardAgreesWithSoft:
         labels = rng.choice([0, 1, 2, 4], size=40, p=[0.5, 0.3, 0.15, 0.05])
         self.assert_agree(labels, 5, p, r=int(rng.integers(1, 6)))
 
-    @pytest.mark.parametrize("kind", ["tail", "reconstruction", "projective"])
+    @pytest.mark.parametrize("kind", ["tail", "reconstruction", "projective", "tracks_as_flow"])
     def test_empty_group_scores_zero(self, kind):
         assert L.hard_group_loss(np.zeros((8, 0)), kind, 3) == 0.0

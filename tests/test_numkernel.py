@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from trajseg import numkernel as nk
-from trajseg.errors import InvalidInputError, RangeError
+from trajseg.errors import InvalidInputError
 
 from oracles import (
     gradient_descent_lstsq_residual,
     loop_sign_convention,
-    random_orthonormal,
     singular_values_via_jacobi,
 )
 
@@ -55,37 +53,6 @@ class TestSvd:
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(InvalidInputError):
             nk.svd(bad)
-
-
-class TestTruncate:
-    def test_rank_one_exact(self):
-        u = np.array([1.0, 2.0, -1.0])[:, None]
-        v = np.array([0.5, 1.5])[None, :]
-        a = u @ v
-        rec = nk.truncate(nk.svd(a), 1)
-        assert np.abs(rec - a).max() < 1e-12
-
-    def test_full_rank_reconstruction(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((4, 6))
-        f = nk.svd(a)
-        assert np.abs(nk.truncate(f, f.sigma.size) - a).max() <= 1e-8 * f.sigma[0]
-
-    def test_zero_rank(self):
-        a = np.arange(6.0).reshape(2, 3) + 1
-        assert np.all(nk.truncate(nk.svd(a), 0) == 0)
-
-    def test_eckart_young_error(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((6, 6))
-        f = nk.svd(a)
-        err = np.linalg.norm(a - nk.truncate(f, 2))
-        assert abs(err - np.sqrt((f.sigma[2:] ** 2).sum())) < 1e-9
-
-    def test_rank_out_of_range(self):
-        f = nk.svd(np.eye(3))
-        with pytest.raises(RangeError):
-            nk.truncate(f, 4)
 
 
 class TestLstsq:
@@ -146,67 +113,6 @@ class TestSymEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
             nk.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestTailSum:
-    def test_rank_deficient_tail_is_zero(self):
-        rng = np.random.default_rng(10)
-        a = sum(
-            np.outer(rng.standard_normal(6), rng.standard_normal(5)) for _ in range(3)
-        )
-        s1 = np.linalg.svd(a, compute_uv=False)[0]
-        assert nk.tail_singular_sum(a, 4) < 1e-10 * s1
-
-    def test_diagonal(self):
-        a = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
-        assert nk.tail_singular_sum(a, 3) == pytest.approx(6.0)
-
-    def test_equals_nuclear_minus_top(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((8, 6))
-        f = nk.svd(a)
-        nuclear = f.sigma.sum()
-        assert nk.tail_singular_sum(a, 2) == pytest.approx(nuclear - f.sigma[0], abs=1e-10)
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(RangeError):
-            nk.tail_singular_sum(np.eye(3), 4)
-        with pytest.raises(RangeError):
-            nk.tail_singular_sum(np.eye(3), 0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.integers(2, 6), st.integers(2, 6))
-def test_tail_sum_decreases_in_r(seed, m, n):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n))
-    q = min(m, n)
-    for r in range(1, q):
-        assert nk.tail_singular_sum(a, r + 1) <= nk.tail_singular_sum(a, r) + 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000))
-def test_tail_sum_orthogonal_invariance(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((6, 4))
-    qmat = random_orthonormal(rng, 6, 6)
-    s1 = np.linalg.svd(a, compute_uv=False)[0]
-    for r in (1, 2, 4):
-        assert abs(
-            nk.tail_singular_sum(qmat @ a, r) - nk.tail_singular_sum(a, r)
-        ) <= 1e-9 * max(s1, 1.0)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10_000))
-def test_eckart_young_identity(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((7, 5))
-    f = nk.svd(a)
-    for r in (1, 3):
-        err2 = np.linalg.norm(a - nk.truncate(f, r)) ** 2
-        assert abs(err2 - (f.sigma[r:] ** 2).sum()) <= 1e-8 * f.sigma[0] ** 2
 
 
 def test_svd_sign_convention_bitwise_equal_to_column_loop():

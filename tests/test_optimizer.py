@@ -115,37 +115,8 @@ class TestOptimizeSequence:
         cfg = OptimConfig(k=4, steps=5, seed=0, early_stop=False)
         _, trace = optimize_sequence(noisy_scene.tracks.positions, cfg=cfg)
         text = trace.to_csv_text()
-        assert text.splitlines()[0] == "step,loss_total,l_f,l_t,l_tau"
+        assert text.splitlines()[0] == "step,loss"
         assert len(text.splitlines()) == 6
-
-    def test_flow_term_enters_when_flows_given(self):
-        scene = make_scene(
-            SceneConfig(mode="planar2d", num_objects=2, frames=6, grid=(48, 48),
-                        motion_seed=5, points_per_object=40)
-        )
-        weights = L.LossWeights(lambda_f=1.0, lambda_t=1.0, lambda_tau=0.0)
-        cfg = OptimConfig(k=3, steps=4, seed=0, weights=weights,
-                          grid=scene.config.grid, early_stop=False)
-        _, with_flow = optimize_sequence(scene.tracks.positions, scene.flows, cfg)
-        _, without = optimize_sequence(scene.tracks.positions, None, cfg)
-        assert with_flow.l_f[0] > 0
-        assert np.all(without.l_f == 0)
-        assert with_flow.losses[0] > without.losses[0]
-
-    def test_flow_term_prefers_true_grouping(self):
-        from trajseg.optimizer import _sampled_flow_term
-
-        scene = make_scene(
-            SceneConfig(mode="planar2d", num_objects=2, frames=6, grid=(48, 48),
-                        motion_seed=5, points_per_object=40)
-        )
-        truth_logits = 10.0 * np.eye(3)[scene.labels]
-        rng = np.random.default_rng(0)
-        rand_logits = rng.standard_normal(truth_logits.shape)
-        p = scene.tracks.positions
-        truth_val, _ = _sampled_flow_term(truth_logits, p, scene.flows, scene.config.grid)
-        rand_val, _ = _sampled_flow_term(rand_logits, p, scene.flows, scene.config.grid)
-        assert truth_val < rand_val
 
     def test_moving_average_trend(self):
         # noise-free scene: late 100-step moving average never rises

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from trajseg import numkernel as nk
 from trajseg.errors import InvalidInputError, RangeError
-from trajseg.scene_synth import MODES, SceneConfig, make_scene, flow_field, window
+from trajseg.scene_synth import MODES, SceneConfig, make_scene, window
+
+from oracles import svd_truncate
 
 
 def nearest_pixel_labels(scene, t):
@@ -164,9 +165,8 @@ class TestRankStructure:
             homog[0::3] = p[0::2][:, cols]
             homog[1::3] = p[1::2][:, cols]
             homog[2::3] = 1.0
-            f = nk.svd(homog)
-            resid = np.abs(homog - nk.truncate(f, 4)).max()
-            assert resid < 1e-8 * f.sigma[0]
+            resid = np.abs(homog - svd_truncate(homog, 4)).max()
+            assert resid < 1e-8 * np.linalg.norm(homog, 2)
 
     def test_perspective_factorization_from_geometry(self):
         # reconstruct homogeneous image points as projection @ reference
@@ -250,11 +250,6 @@ class TestFlow:
                 expect = _apply_map(comp.maps[t + 1], patch) - pix
                 assert np.abs(flow[take] - expect).max() < 1e-9
 
-    def test_flow_field_range_error(self):
-        sc = make_scene(SceneConfig(frames=4, motion_seed=1))
-        with pytest.raises(RangeError):
-            flow_field(sc, 3)
-        assert flow_field(sc, 2).shape == (64 * 64, 2)
 
 
 class TestNoiseAndVisibility:
