@@ -42,7 +42,10 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path, allowed, defaults=None):
+def _load_config(path, defaults, allowed=None):
+    """Config from JSON over ``defaults``; keys outside ``allowed`` (by
+    default the keys of ``defaults``) are rejected."""
+    allowed = defaults if allowed is None else allowed
     if path is None:
         data = {}
     else:
@@ -60,7 +63,7 @@ def _load_config(path, allowed, defaults=None):
         check, expected = VALUE_TYPES.get(key, (None, None))
         if check is not None and not check(value):
             raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
-    merged = dict(defaults or {})
+    merged = dict(defaults)
     merged.update(data)
     return merged
 
@@ -146,31 +149,9 @@ SYNTH_KEYS = {
     "bg_balance",
 }
 
-SEGMENT_KEYS = {
-    "steps",
-    "restarts",
-    "over_segments",
-    "target_segments",
-    "r",
-    "step_size",
-    "loss",
-    "k_range",
-    "alpha",
-    "lam",
-    "rho",
-    "max_iter",
-    "export_coefficients",
-    "window_center",
-    "window_half_width",
-}
-
-SWEEP_KEYS = {"etas", "ss", "taus", "trials", "loss", "r", "assertions"}
-
-GRADCHECK_KEYS = {"instances", "frames", "tracks", "segments", "grid", "step"}
-
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config, SYNTH_KEYS)
+    config = _load_config(args.config, {}, SYNTH_KEYS)
     if "grid" in config:
         config["grid"] = tuple(config["grid"])
     try:
@@ -281,7 +262,7 @@ def cmd_segment(args) -> int:
         "window_center": None,
         "window_half_width": None,
     }
-    config = _load_config(args.config, SEGMENT_KEYS, defaults)
+    config = _load_config(args.config, defaults)
     scene = load_scene(args.scene)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,7 +318,7 @@ def cmd_sweep(args) -> int:
         "r": losses.DEFAULT_RANK,
         "assertions": ["eta_monotone", "tau_monotone", "under_over_asymmetry", "min_at_truth"],
     }
-    config = _load_config(args.config, SWEEP_KEYS, defaults)
+    config = _load_config(args.config, defaults)
     scene = load_scene(args.scene)
     result = feasibility.sweep(
         scene,
@@ -398,7 +379,7 @@ def cmd_gradcheck(args) -> int:
         "grid": [12, 12],
         "step": 1e-5,
     }
-    config = _load_config(args.config, GRADCHECK_KEYS, defaults)
+    config = _load_config(args.config, defaults)
     frames = int(config["frames"])
     n = int(config["tracks"])
     k = int(config["segments"])

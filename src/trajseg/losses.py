@@ -3,7 +3,9 @@
 Two families live here.  The flow losses fit a six-parameter quadratic
 motion model per segment and score the masked fitting residual, either of
 a pixel flow field or, for the tracks-as-flow loss, of the tracks'
-frame-to-frame displacements.  The trajectory losses score how far each
+frame-to-frame displacements.  Both make one call to ``_fit_terms``, which
+hands every segment's fit, for every frame pair, to the batched
+``numkernel.lstsq`` as one stack.  The trajectory losses score how far each
 soft group of tracks is from being low-rank: the tail loss sums trailing
 singular values, the reconstruction loss takes the squared residual
 against the best rank-r approximation, and the projective loss does the
@@ -133,32 +135,40 @@ def quad_embed(h: int, w: int) -> np.ndarray:
 
 
 def embed_points(points) -> np.ndarray:
-    """Quadratic basis evaluated at arbitrary (x, y) positions, (N, 6)."""
+    """Quadratic basis evaluated at (x, y) positions (..., N, 2), (..., N, 6)."""
     points = np.asarray(points, dtype=float)
-    x = points[:, 0]
-    y = points[:, 1]
-    return np.column_stack([x, x * x, y, y * y, x * y, np.ones_like(x)])
+    x = points[..., 0]
+    y = points[..., 1]
+    return np.stack([x, x * x, y, y * y, x * y, np.ones_like(x)], axis=-1)
 
 
-def _fit_terms(weights_col, basis, targets):
-    """Masked least-squares fit of one segment.
+def _fit_terms(weights, basis, targets):
+    """Masked least-squares fit of every segment to every field.
 
-    The regularised solve runs twice (initial fit plus one residual
-    correction) so the stabilising ridge does not bias exactly
-    representable targets.  Returns the squared residual and its partial
-    derivative with respect to the mask column holding the fitted
-    coefficients fixed (the fit is the inner minimiser, so this partial is
-    the total derivative).
+    weights : (N, K) soft masks
+    basis : (N, 6) or (P, N, 6), the quadratic basis of each field
+    targets : (N, c) or (P, N, c), the field values
+
+    Segment k of field p fits ``diag(w_k) basis_p`` to ``diag(w_k)
+    targets_p``; all P*K fits go to ``nk.lstsq`` as one stack.  The
+    regularised solve runs twice (initial fit plus one residual correction)
+    so the stabilising ridge does not bias exactly representable targets.
+    Returns the squared residuals, (K,) or (P, K), and their partial
+    derivative with respect to the masks, summed over the fields, (N, K),
+    holding the fitted coefficients fixed (the fit is the inner minimiser,
+    so this partial is the total derivative).
     """
-    ek = weights_col[:, None] * basis
-    fk = weights_col[:, None] * targets
+    w = weights.T[:, :, None]
+    basis = basis[..., None, :, :]
+    targets = targets[..., None, :, :]
+    ek = w * basis
+    fk = w * targets
     theta = nk.lstsq(ek, fk)
     theta = theta + nk.lstsq(ek, fk - ek @ theta)
     d = targets - basis @ theta
-    resid = weights_col[:, None] * d
-    value = float((resid**2).sum())
-    grad = 2.0 * weights_col * (d * d).sum(axis=1)
-    return value, grad
+    values = ((w * d) ** 2).sum(axis=(-2, -1))
+    grad = 2.0 * weights.T * (d * d).sum(axis=-1)
+    return values, grad.sum(axis=tuple(range(grad.ndim - 2))).T
 
 
 def flow_loss(masks: SoftAssignment, flow):
@@ -178,14 +188,7 @@ def flow_loss(masks: SoftAssignment, flow):
             f"flow shape {flow.shape} does not match masks "
             f"({masks.weights.shape[0]} pixels)"
         )
-    h, w = masks.grid
-    basis = quad_embed(h, w)
-    parts = np.array(
-        [
-            _fit_terms(masks.weights[:, k], basis, flow)[0]
-            for k in range(masks.n_segments)
-        ]
-    )
+    parts, _ = _fit_terms(masks.weights, quad_embed(*masks.grid), flow)
     return float(parts.sum()), parts
 
 
@@ -197,10 +200,7 @@ def flow_loss_grad(logits, flow, grid):
     if logits.shape[0] != h * w or flow.shape != (h * w, 2):
         raise InvalidInputError("logits, flow and grid sizes disagree")
     weights = softmax(logits)
-    basis = quad_embed(h, w)
-    g = np.empty_like(weights)
-    for k in range(weights.shape[1]):
-        _, g[:, k] = _fit_terms(weights[:, k], basis, flow)
+    _, g = _fit_terms(weights, quad_embed(h, w), flow)
     return _chain_softmax(weights, g)
 
 
@@ -435,15 +435,6 @@ def _tracks_as_flow(weights, tracks):
     frames = tracks.shape[0] // 2
     if frames < 2:
         raise InvalidInputError("need at least two frames of tracks")
-    total = 0.0
-    grad = np.zeros_like(weights)
-    for t in range(frames - 1):
-        basis = embed_points(np.column_stack([tracks[2 * t], tracks[2 * t + 1]]))
-        disp = np.column_stack(
-            [tracks[2 * t + 2] - tracks[2 * t], tracks[2 * t + 3] - tracks[2 * t + 1]]
-        )
-        for k in range(weights.shape[1]):
-            val, g = _fit_terms(weights[:, k], basis, disp)
-            total += val
-            grad[:, k] += g
-    return total, grad
+    points = tracks.reshape(frames, 2, -1).transpose(0, 2, 1)
+    values, grad = _fit_terms(weights, embed_points(points[:-1]), points[1:] - points[:-1])
+    return float(values.sum()), grad

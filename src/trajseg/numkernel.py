@@ -4,8 +4,8 @@ Everything here is a pure function of float64 arrays.  The kernels are
 deliberately small: a compact SVD with a fixed sign convention, a
 ridge-stabilised least-squares solve and a symmetric eigendecomposition.
 The trajectory losses run their own batched decompositions of all groups
-at once in ``losses``; the flow losses and the baselines use the kernels
-here.
+at once in ``losses``; the flow-fit losses hand ``lstsq`` every segment and
+frame pair as one stack, and the baselines use the kernels here.
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ def svd(a) -> SvdFactors:
 
 
 def lstsq(e, f) -> np.ndarray:
-    """Least squares ``argmin_theta || e @ theta - f ||_F``.
+    """Least squares ``argmin_theta || e @ theta - f ||_F``, one matrix or a
+    stack of them solved in one call.
 
-    Solved through ridge-regularised normal equations
+    Each design is solved through ridge-regularised normal equations
     ``(e.T e + eps*I) theta = e.T f`` with ``eps = 1e-8 * trace(e.T e) / p``,
     which keeps rank-deficient designs well posed (segments whose soft mask
     is nearly empty produce nearly-zero design matrices).  An exactly zero
@@ -87,26 +88,38 @@ def lstsq(e, f) -> np.ndarray:
 
     Parameters
     ----------
-    e : (m, p) design matrix
-    f : (m, c) targets
+    e : (..., m, p) design matrices
+    f : (..., m, c) targets, with the same leading axes
 
     Returns
     -------
-    (p, c) coefficient matrix.
+    (..., p, c) coefficient matrices.
     """
-    e = as_matrix(e, "design")
-    f = as_matrix(f, "target")
-    if e.shape[0] != f.shape[0]:
+    e = np.asarray(e, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    for a, name in ((e, "design"), (f, "target")):
+        if a.ndim < 2 or 0 in a.shape:
+            raise InvalidInputError(
+                f"{name} must be a matrix or a stack of matrices with at least "
+                f"one row and column, got shape {a.shape}"
+            )
+        if not np.all(np.isfinite(a)):
+            raise InvalidInputError(f"{name} contains non-finite entries")
+    if e.shape[:-1] != f.shape[:-1]:
         raise InvalidInputError(
-            f"design has {e.shape[0]} rows but target has {f.shape[0]}"
+            f"design of shape {e.shape} and target of shape {f.shape} differ in "
+            "rows or leading axes"
         )
-    p = e.shape[1]
-    gram = e.T @ e
-    trace = float(np.trace(gram))
-    if trace == 0.0:
-        return np.zeros((p, f.shape[1]))
-    eps = 1e-8 * trace / p
-    return np.linalg.solve(gram + eps * np.eye(p), e.T @ f)
+    p = e.shape[-1]
+    et = e.swapaxes(-1, -2)
+    gram = et @ e
+    trace = np.trace(gram, axis1=-2, axis2=-1)
+    zero = trace == 0.0
+    lhs = gram + (1e-8 * trace / p)[..., None, None] * np.eye(p)
+    lhs[zero] = np.eye(p)
+    theta = np.linalg.solve(lhs, et @ f)
+    theta[zero] = 0.0
+    return theta
 
 
 def sym_eig(s):

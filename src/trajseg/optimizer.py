@@ -171,17 +171,12 @@ def hard_labels(assignment) -> np.ndarray:
 # never ground truth.
 
 
-def _segment_score(tracks, mask, kind, r):
-    """Loss contribution of one hard segment (zero columns drop out)."""
-    return L.hard_group_loss(tracks[:, mask], kind, r)
-
-
 def hard_loss(tracks, labels, kind="tail", r=L.DEFAULT_RANK) -> float:
     """Loss of a hard labeling, summed over its segments."""
     tracks = np.asarray(tracks, dtype=float)
     labels = np.asarray(labels)
     return sum(
-        _segment_score(tracks, labels == i, kind, r) for i in np.unique(labels)
+        L.hard_group_loss(tracks[:, labels == i], kind, r) for i in np.unique(labels)
     )
 
 
@@ -196,21 +191,24 @@ def greedy_reassign(tracks, labels, kind="tail", r=L.DEFAULT_RANK, sweeps=6,
     labels = np.asarray(labels).copy()
     for _ in range(sweeps):
         ids = list(np.unique(labels))
-        score = {i: _segment_score(tracks, labels == i, kind, r) for i in ids}
+        score = {i: L.hard_group_loss(tracks[:, labels == i], kind, r) for i in ids}
         changed = 0
         for n in range(tracks.shape[1]):
             cur = labels[n]
             pool = [c for c in (candidates[n] if candidates is not None else ids)
                     if c != cur and c in score]
+            if not pool:
+                continue
+            src = labels == cur
+            src[n] = False
+            src_score = L.hard_group_loss(tracks[:, src], kind, r)
             best_delta, best_seg = -1e-12, cur
             for cand in pool:
-                src = labels == cur
-                src[n] = False
                 dst = labels == cand
                 dst[n] = True
                 delta = (
-                    _segment_score(tracks, src, kind, r)
-                    + _segment_score(tracks, dst, kind, r)
+                    src_score
+                    + L.hard_group_loss(tracks[:, dst], kind, r)
                     - score[cur]
                     - score[cand]
                 )
@@ -219,8 +217,8 @@ def greedy_reassign(tracks, labels, kind="tail", r=L.DEFAULT_RANK, sweeps=6,
             if best_seg != cur:
                 labels[n] = best_seg
                 changed += 1
-                score[cur] = _segment_score(tracks, labels == cur, kind, r)
-                score[best_seg] = _segment_score(tracks, labels == best_seg, kind, r)
+                score[cur] = L.hard_group_loss(tracks[:, labels == cur], kind, r)
+                score[best_seg] = L.hard_group_loss(tracks[:, labels == best_seg], kind, r)
         if changed == 0:
             break
     return labels
@@ -237,12 +235,12 @@ def merge_segments(tracks, labels, kind="tail", r=L.DEFAULT_RANK, target=None):
         floor = max(target or 1, 1)
         if ids.size <= floor:
             return labels
-        score = {i: _segment_score(tracks, labels == i, kind, r) for i in ids}
+        score = {i: L.hard_group_loss(tracks[:, labels == i], kind, r) for i in ids}
         best = None
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 a, b = ids[i], ids[j]
-                merged = _segment_score(tracks, (labels == a) | (labels == b), kind, r)
+                merged = L.hard_group_loss(tracks[:, (labels == a) | (labels == b)], kind, r)
                 delta = merged - score[a] - score[b]
                 if best is None or delta < best[0]:
                     best = (delta, a, b)

@@ -240,6 +240,49 @@ def per_group_residual_value_and_grad(logits, tracks, r, lift=False):
     return value, _chain_softmax(weights, grad_weights)
 
 
+def per_pair_fit_value_and_grad(logits, points, targets):
+    """Masked quadratic motion fits, one field and one segment at a time.
+
+    points : (P, N, 2) positions at which the basis [x, x^2, y, y^2, xy, 1]
+        of each field is evaluated
+    targets : (P, N, c) field values
+
+    Segment k of field p fits diag(w_k) basis_p to diag(w_k) targets_p by
+    ridge-regularised normal equations (ridge 1e-8 trace / 6, the zero
+    solution for a zero design), then solves once more for the residual.
+    Returns every field's and segment's squared residual, (P, K), and the
+    gradient of their sum w.r.t. the logits; the fit is the inner
+    minimiser, so the weight gradient is 2 w_nk |d_n|^2 summed over fields.
+    """
+    weights = _softmax(logits)
+    points = np.asarray(points, float)
+    targets = np.asarray(targets, float)
+    parts = np.zeros((points.shape[0], weights.shape[1]))
+    grad_weights = np.zeros_like(weights)
+    for t in range(points.shape[0]):
+        x, y = points[t, :, 0], points[t, :, 1]
+        basis = np.column_stack([x, x * x, y, y * y, x * y, np.ones_like(x)])
+        for k in range(weights.shape[1]):
+            w = weights[:, k : k + 1]
+            ek = w * basis
+            fk = w * targets[t]
+            theta = _ridge_solve(ek, fk)
+            theta = theta + _ridge_solve(ek, fk - ek @ theta)
+            d = targets[t] - basis @ theta
+            parts[t, k] = float(((w * d) ** 2).sum())
+            grad_weights[:, k] += 2.0 * w[:, 0] * (d * d).sum(axis=1)
+    return parts, _chain_softmax(weights, grad_weights)
+
+
+def _ridge_solve(e, f):
+    gram = e.T @ e
+    trace = float(np.trace(gram))
+    if trace == 0.0:
+        return np.zeros((e.shape[1], f.shape[1]))
+    ridge = 1e-8 * trace / e.shape[1]
+    return np.linalg.solve(gram + ridge * np.eye(e.shape[1]), e.T @ f)
+
+
 def _softmax(logits):
     logits = np.asarray(logits, float)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))

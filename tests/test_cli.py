@@ -129,6 +129,20 @@ class TestSegment:
         for fname in ("labels.csv", "metrics.json", "run.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    @pytest.mark.parametrize("loss", ["reconstruction", "projective", "tracks_as_flow"])
+    def test_deterministic_rerun_per_loss(self, scene_dir, tmp_path, loss):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"steps": 60, "restarts": 2, "over_segments": 4,
+                                   "target_segments": 2, "loss": loss}))
+        outs = []
+        for name in ("r1", "r2"):
+            out = tmp_path / name
+            assert main(["segment", "--scene", str(scene_dir), "--method", "lrtl",
+                         "--config", str(cfg), "--out", str(out), "--seed", "4"]) == 0
+            outs.append(out)
+        for fname in ("labels.csv", "metrics.json", "run.json"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
     def test_coefficient_export(self, scene_dir, tmp_path):
         cfg = tmp_path / "p.json"
         cfg.write_text(json.dumps({"export_coefficients": True}))

@@ -11,6 +11,7 @@ from oracles import (
     central_difference_grad,
     matrix_with_spectrum,
     per_group_residual_value_and_grad,
+    per_pair_fit_value_and_grad,
     svd_tail_sum,
     svd_tail_value_and_grad,
 )
@@ -394,6 +395,84 @@ class TestTracksAsFlow:
                 expect += float(((fk - ek @ theta) ** 2).sum())
         assert total == pytest.approx(expect, rel=1e-9)
 
+    def test_grad_matches_finite_differences(self):
+        rng = np.random.default_rng(12)
+        p = rng.random((10, 20))
+        logits = rng.standard_normal((20, 3)) * 0.5
+        _, g = L.tracks_as_flow_value_and_grad(logits, p)
+        ref = central_difference_grad(
+            lambda x: L.tracks_as_flow_loss(L.SoftAssignment.from_logits(x), p), logits
+        )
+        assert np.linalg.norm(g - ref) / np.linalg.norm(ref) < 1e-5
+
+
+def _frame_pairs(tracks):
+    """Positions at the earlier frame of each pair and the displacements."""
+    points = np.stack([tracks[0::2], tracks[1::2]], axis=-1)
+    return points[:-1], points[1:] - points[:-1]
+
+
+class TestFlowFitAgainstPerPairLoop:
+    """The batched flow-fit kernel against a loop over frame pairs and
+    segments."""
+
+    @staticmethod
+    def assert_flow_matches(logits, flow, grid):
+        h, w = grid
+        gy, gx = np.meshgrid(np.arange(h) / (h - 1), np.arange(w) / (w - 1), indexing="ij")
+        points = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+        ref_parts, ref_grad = per_pair_fit_value_and_grad(logits, points[None], flow[None])
+        ref = ref_parts.sum()
+        total, parts = L.flow_loss(L.SoftAssignment.from_logits(logits, "pixel", grid), flow)
+        grad = L.flow_loss_grad(logits, flow, grid)
+        assert abs(total - ref) <= 1e-12 * ref
+        assert np.abs(parts - ref_parts[0]).max() <= 1e-12 * ref
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    @staticmethod
+    def assert_tracks_match(logits, tracks):
+        ref_parts, ref_grad = per_pair_fit_value_and_grad(logits, *_frame_pairs(tracks))
+        ref = ref_parts.sum()
+        loss = L.tracks_as_flow_loss(L.SoftAssignment.from_logits(logits), tracks)
+        value, grad = L.tracks_as_flow_value_and_grad(logits, tracks)
+        assert loss == value
+        assert abs(value - ref) <= 1e-12 * ref
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    def test_planar_scene(self, planar_scene):
+        sc = planar_scene
+        rng = np.random.default_rng(0)
+        flow = sc.flows[0] / np.array(sc.config.grid[::-1], dtype=float)
+        self.assert_flow_matches(
+            rng.standard_normal((sc.masks[0].size, 3)), flow, sc.config.grid
+        )
+        p = sc.tracks.positions
+        self.assert_tracks_match(rng.standard_normal((p.shape[1], 4)), p)
+
+    def test_random_logits(self):
+        rng = np.random.default_rng(1)
+        h, w = 9, 11
+        self.assert_flow_matches(
+            rng.standard_normal((h * w, 4)), rng.standard_normal((h * w, 2)), (h, w)
+        )
+        self.assert_tracks_match(rng.standard_normal((30, 5)), rng.random((14, 30)))
+
+    def test_weight_column_underflowing_to_zero(self):
+        # segment 0 has an exactly zero design in every field
+        rng = np.random.default_rng(2)
+        h = w = 8
+        logits = rng.standard_normal((h * w, 3))
+        logits[:, 0] = -1000.0
+        assert np.all(L.softmax(logits)[:, 0] == 0.0)
+        self.assert_flow_matches(logits, rng.standard_normal((h * w, 2)), (h, w))
+        logits = rng.standard_normal((25, 3))
+        logits[:, 0] = -1000.0
+        self.assert_tracks_match(logits, rng.random((10, 25)))
+
+    def test_single_frame_pair(self):
+        rng = np.random.default_rng(3)
+        self.assert_tracks_match(rng.standard_normal((20, 3)), rng.random((4, 20)))
+
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
@@ -645,3 +724,25 @@ class TestHardAgreesWithSoft:
     @pytest.mark.parametrize("kind", ["tail", "reconstruction", "projective", "tracks_as_flow"])
     def test_empty_group_scores_zero(self, kind):
         assert L.hard_group_loss(np.zeros((8, 0)), kind, 3) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_tracks_as_flow_track_permutation_permutes_gradient_rows(seed):
+    rng, p, logits = _tail_case(seed)
+    perm = rng.permutation(p.shape[1])
+    value, grad = L.tracks_as_flow_value_and_grad(logits, p)
+    value_p, grad_p = L.tracks_as_flow_value_and_grad(logits[perm], p[:, perm])
+    assert value_p == pytest.approx(value, rel=1e-9)
+    assert np.allclose(grad_p, grad[perm], rtol=0, atol=1e-9 * np.abs(grad).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_tracks_as_flow_segment_permutation_permutes_gradient_columns(seed):
+    rng, p, logits = _tail_case(seed)
+    perm = rng.permutation(logits.shape[1])
+    value, grad = L.tracks_as_flow_value_and_grad(logits, p)
+    value_p, grad_p = L.tracks_as_flow_value_and_grad(logits[:, perm], p)
+    assert value_p == pytest.approx(value, rel=1e-9)
+    assert np.allclose(grad_p, grad[:, perm], rtol=0, atol=1e-9 * np.abs(grad).max())
