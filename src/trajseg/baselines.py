@@ -26,6 +26,12 @@ __all__ = [
     "spectral_cluster",
 ]
 
+KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
+SSC_TOL = 1e-4  # max-norm change of the SSC coefficients that stops ADMM
+LRR_TOL = 1e-7  # max-norm constraint residual that stops LRR
+LRR_MU0 = 1e-6  # initial LRR penalty
+LRR_MU_MAX = 1e10  # cap of the growing LRR penalty
+
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
@@ -84,10 +90,10 @@ def _kmeanspp_init(data, k, rng):
     return centers
 
 
-def _lloyd(data, centers, max_iter):
+def _lloyd(data, centers):
     n, k = data.shape[0], centers.shape[0]
     labels = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist.argmin(axis=1)
         for j in range(k):
@@ -106,7 +112,7 @@ def _lloyd(data, centers, max_iter):
     return labels, wcss
 
 
-def kmeans(data, k, restarts=10, seed=0, max_iter=300):
+def kmeans(data, k, restarts=10, seed=0):
     """Lloyd iterations with k-means++ seeding, best of ``restarts`` runs.
 
     Runs are scored by within-cluster sum of squares; each restart draws
@@ -121,7 +127,7 @@ def kmeans(data, k, restarts=10, seed=0, max_iter=300):
     for restart in range(max(restarts, 1)):
         rng = np.random.default_rng([seed, restart])
         centers = _kmeanspp_init(data, k, rng)
-        labels, wcss = _lloyd(data, centers.copy(), max_iter)
+        labels, wcss = _lloyd(data, centers.copy())
         if wcss < best_wcss - 1e-12:
             best_wcss = wcss
             best_labels = labels
@@ -137,14 +143,15 @@ def _soft_threshold(x, thr):
     return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
 
 
-def ssc_admm(data, alpha=100.0, tol=1e-4, max_iter=200) -> CoefficientMatrix:
+def ssc_admm(data, alpha=100.0, max_iter=200) -> CoefficientMatrix:
     """Sparse self-expression of columns: min |C|_1 + lam/2 |D - DC|_F^2.
 
     Columns are unit-normalised internally.  The data-fidelity weight is
     lam = alpha / mu with mu = min_i max_{j != i} |d_i . d_j|, and the
     ADMM penalty equals alpha.  Iterations stop when the successive
-    coefficient change drops below ``tol`` in max norm.  The zero-diagonal
-    constraint is enforced throughout.
+    coefficient change drops below ``SSC_TOL`` in max norm, or after
+    ``max_iter`` iterations.  The zero-diagonal constraint is enforced
+    throughout.
     """
     data = nk.as_matrix(data, "data")
     n = data.shape[1]
@@ -173,7 +180,7 @@ def ssc_admm(data, alpha=100.0, tol=1e-4, max_iter=200) -> CoefficientMatrix:
         dual = dual + rho * (z - c_new)
         change = np.abs(c_new - c).max()
         c = c_new
-        if change < tol:
+        if change < SSC_TOL:
             iterations = it + 1
             converged = True
             break
@@ -206,15 +213,16 @@ def _column_shrink(matrix, thr):
     return matrix * scale
 
 
-def lrr(data, lam=0.2, rho=1.01, max_iter=10_000, tol=1e-7, mu0=1e-6, mu_max=1e10):
+def lrr(data, lam=0.2, rho=1.01, max_iter=10_000):
     """Low-rank self-expression with column-sparse errors.
 
     Solves min |C|_* + lam |E|_{2,1} subject to D = DC + E by an inexact
     augmented Lagrangian: singular-value thresholding for the nuclear
-    term, column-wise shrinkage for the error term, and a penalty growing
-    by ``rho`` each iteration.  Stops when the constraint residual
-    |D - DC - E|_max falls below ``tol``; aborts if the residual keeps
-    growing for 500 consecutive iterations.
+    term, column-wise shrinkage for the error term, and a penalty that
+    starts at ``LRR_MU0`` and grows by ``rho`` each iteration up to
+    ``LRR_MU_MAX``.  Stops when the constraint residual |D - DC - E|_max
+    falls below ``LRR_TOL``, or after ``max_iter`` iterations; aborts if
+    the residual keeps growing for 500 consecutive iterations.
 
     The iterates are carried in the row space of D (Liu et al., "Robust
     recovery of subspace structures by low-rank representation", TPAMI
@@ -241,7 +249,7 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000, tol=1e-7, mu0=1e-6, mu_max=1e1
     err = np.zeros_like(data)
     y1 = np.zeros_like(data)
     w = np.zeros_like(z)
-    mu = mu0
+    mu = LRR_MU0
     prev_primal = np.inf
     growth_streak = 0
     history = []
@@ -258,7 +266,7 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000, tol=1e-7, mu0=1e-6, mu_max=1e1
         # both splitting constraints (D = DC + E and C = J) must be met
         primal = float(max(np.abs(gap_data).max(), np.abs(q @ gap_aux).max()))
         history.append(primal)
-        if primal < tol:
+        if primal < LRR_TOL:
             iterations = it + 1
             converged = True
             break
@@ -274,7 +282,7 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000, tol=1e-7, mu0=1e-6, mu_max=1e1
         prev_primal = primal
         y1 = y1 + mu * gap_data
         w = w + mu * gap_aux
-        mu = min(mu_max, mu * rho)
+        mu = min(LRR_MU_MAX, mu * rho)
     return CoefficientMatrix(
         c=q @ z,
         method="lrr",

@@ -184,7 +184,7 @@ def _center_visible(scene):
 
 def _segment_lrtl(tracks, config, seed):
     cfg = OptimConfig(
-        k=max(int(config["over_segments"]), 2),
+        k=int(config["over_segments"]),
         steps=int(config["steps"]),
         r=int(config["r"]),
         step_size=float(config["step_size"]),
@@ -196,7 +196,6 @@ def _segment_lrtl(tracks, config, seed):
         tracks,
         cfg,
         restarts=int(config["restarts"]),
-        over_segments=int(config["over_segments"]),
         target_segments=None if target in (None, "auto") else int(target),
     )
     return labels, {"final_loss": info["final_loss"], "restart_losses": info["restart_losses"]}
@@ -267,7 +266,8 @@ def cmd_segment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if config["window_center"] is not None:
-        half = int(config["window_half_width"] or 5)
+        half = config["window_half_width"]
+        half = 5 if half is None else int(half)
         win = window(scene, int(config["window_center"]), half)
         keep = np.flatnonzero(win.visible[half])
         tracks = win.positions[:, keep]

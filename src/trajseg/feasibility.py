@@ -226,8 +226,10 @@ def sweep(
     trajectory positions and the selected loss evaluated on the full
     window.  Cells are deterministic given (seed, cell index, trial).
     Splits beyond the available object count are clipped out of the
-    ``ss`` axis.
+    ``ss`` axis.  ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise InvalidInputError(f"trials must be at least 1, got {trials}")
     if loss not in _LOSS_FNS:
         raise InvalidInputError(f"loss must be one of {sorted(_LOSS_FNS)}")
     loss_fn = _LOSS_FNS[loss]

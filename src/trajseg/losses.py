@@ -98,10 +98,6 @@ class SoftAssignment:
                     f"grid {self.grid} does not match {w.shape[0]} rows"
                 )
 
-    @property
-    def n_segments(self) -> int:
-        return self.weights.shape[1]
-
     @classmethod
     def from_logits(cls, logits, mode="point", grid=None) -> "SoftAssignment":
         return cls(weights=softmax(logits), mode=mode, grid=grid)

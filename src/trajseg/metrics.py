@@ -233,20 +233,21 @@ def jaccard_matched(pred_masks, true_masks) -> float:
     return float(np.sum(scores) / true_masks.shape[0])
 
 
-def metric_report(pred, truth, *, background=0, jaccard=None):
+def metric_report(pred, truth):
     """Standard metric dictionary: {ari, fg_ari, jaccard, k_pred, k_true}.
 
-    ``fg_ari`` is None when fewer than 2 elements have a non-background
-    true label.  ``jaccard`` is passed through (mask-based callers compute
-    it separately); None when unavailable.
+    The background is true label 0; ``fg_ari`` is None when fewer than 2
+    elements have another true label.  ``jaccard`` is always None: labels
+    of tracks carry no masks to match (``jaccard_matched`` scores mask
+    sets).
     """
     pred = _as_labels(pred, "pred")
     truth = _as_labels(truth, "truth")
-    fg = truth != background
+    fg = truth != 0
     report = {
         "ari": ari(pred, truth),
         "fg_ari": fg_ari(pred, truth, fg) if fg.sum() >= 2 else None,
-        "jaccard": jaccard,
+        "jaccard": None,
         "k_pred": int(np.unique(pred).size),
         "k_true": int(np.unique(truth).size),
     }

@@ -8,7 +8,6 @@ experiments while keeping the loss machinery identical.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,27 +28,33 @@ __all__ = [
 
 LOSS_KINDS = ("tail", "reconstruction", "projective", "tracks_as_flow")
 
+# adaptive-moment decays and denominator floor, and the spread of the
+# initial logits
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+INIT_STD = 0.01
+
 
 @dataclass(frozen=True)
 class OptimConfig:
     """Settings for one optimization run.
 
-    ``loss_kind`` picks the trajectory loss that the run minimises, in the
-    soft phase and in the discrete refinement alike.  ``early_stop`` ends
-    the run once the relative loss change over 100 steps falls below
-    1e-7 (the trace's convergence flag uses the same rule either way).
+    ``k`` is the number of soft components.  ``loss_kind`` picks the
+    trajectory loss that the run minimises, in the soft phase and in the
+    discrete refinement alike.  ``early_stop`` ends the run once the
+    relative loss change over 100 steps falls below 1e-7 (the trace's
+    convergence flag uses the same rule either way).  The moment decays
+    (``BETA1``, ``BETA2``), the denominator floor ``EPS`` and the spread
+    ``INIT_STD`` of the initial logits are module constants.
     """
 
     k: int = 25
     steps: int = 5000
     r: int = L.DEFAULT_RANK
     step_size: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     loss_kind: str = "tail"
-    init_std: float = 0.01
     early_stop: bool = True
 
     def __post_init__(self):
@@ -57,8 +62,6 @@ class OptimConfig:
             raise InvalidInputError("need at least 2 segments")
         if self.steps < 1:
             raise InvalidInputError("need at least 1 step")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise InvalidInputError("moment decays must lie in [0, 1)")
         if self.loss_kind not in LOSS_KINDS:
             raise InvalidInputError(f"loss_kind must be one of {LOSS_KINDS}")
 
@@ -69,7 +72,6 @@ class OptimTrace:
 
     losses: np.ndarray
     final_logits: np.ndarray
-    wall_time: float
     converged: bool
     steps_run: int
 
@@ -94,47 +96,34 @@ def _traj_term(cfg, logits, tracks):
 def optimize_sequence(tracks, cfg: OptimConfig | None = None):
     """Optimize per-track logits; returns (assignment, trace).
 
-    ``tracks`` is a (2T, N) matrix of normalised positions (or an object
-    exposing ``positions``); callers are expected to have dropped columns
-    that are invisible at the window's reference frame.  Deterministic for
-    a fixed config.  A non-finite loss aborts with the trace so far
-    attached to the raised error.
+    ``tracks`` is a (2T, N) matrix of normalised positions; callers are
+    expected to have dropped columns that are invisible at the window's
+    reference frame.  Deterministic for a fixed config.  A non-finite loss
+    aborts with the trace so far attached to the raised error.
     """
     cfg = cfg if cfg is not None else OptimConfig()
-    positions = getattr(tracks, "positions", tracks)
-    positions = np.asarray(positions, dtype=float)
+    positions = np.asarray(tracks, dtype=float)
     n = positions.shape[1]
     if n < cfg.k:
         raise InvalidInputError(f"need at least k={cfg.k} tracks, got {n}")
     rng = np.random.default_rng(cfg.seed)
-    logits = rng.normal(0.0, cfg.init_std, (n, cfg.k))
+    logits = rng.normal(0.0, INIT_STD, (n, cfg.k))
     m = np.zeros_like(logits)
     v = np.zeros_like(logits)
 
     losses = np.zeros(cfg.steps)
-    converged = False
-    steps_run = 0
-    start = time.perf_counter()
+    converged = diverged = False
     for step in range(cfg.steps):
         total, grad = _traj_term(cfg, logits, positions)
         losses[step] = total
-        steps_run = step + 1
         if not np.isfinite(total) or not np.all(np.isfinite(grad)):
-            trace = OptimTrace(
-                losses=losses[:steps_run],
-                final_logits=logits,
-                wall_time=time.perf_counter() - start,
-                converged=False,
-                steps_run=steps_run,
-            )
-            raise DivergenceError(
-                f"non-finite loss at step {step}", diagnostics={"trace": trace}
-            )
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-        m_hat = m / (1.0 - cfg.beta1 ** (step + 1))
-        v_hat = v / (1.0 - cfg.beta2 ** (step + 1))
-        logits = logits - cfg.step_size * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            diverged = True
+            break
+        m = BETA1 * m + (1.0 - BETA1) * grad
+        v = BETA2 * v + (1.0 - BETA2) * grad * grad
+        m_hat = m / (1.0 - BETA1 ** (step + 1))
+        v_hat = v / (1.0 - BETA2 ** (step + 1))
+        logits = logits - cfg.step_size * m_hat / (np.sqrt(v_hat) + EPS)
         if step >= 100:
             past = losses[step - 100]
             if abs(losses[step] - past) <= 1e-7 * max(abs(past), 1e-30):
@@ -142,12 +131,13 @@ def optimize_sequence(tracks, cfg: OptimConfig | None = None):
                 if cfg.early_stop:
                     break
     trace = OptimTrace(
-        losses=losses[:steps_run],
+        losses=losses[:step + 1],
         final_logits=logits,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
-        steps_run=steps_run,
+        converged=converged and not diverged,
+        steps_run=step + 1,
     )
+    if diverged:
+        raise DivergenceError(f"non-finite loss at step {step}", diagnostics={"trace": trace})
     assignment = L.SoftAssignment.from_logits(logits, mode="point")
     return assignment, trace
 
@@ -254,40 +244,39 @@ def segment_tracks(
     cfg: OptimConfig | None = None,
     *,
     restarts: int = 3,
-    over_segments: int = 10,
     target_segments: int | None = None,
-    sweeps: int = 6,
 ):
     """Full per-sequence grouping: gradient phase plus discrete refinement.
 
-    Each restart runs the soft optimizer with ``over_segments`` components
-    (fragments of one motion merge cheaply later), polishes the hardened
-    labels with single-track moves, agglomerates to ``target_segments``
-    (or until merging stops paying), and polishes again.  The restart with
-    the lowest final loss wins; ties break toward the earlier restart.
+    Each restart runs the soft optimizer with ``cfg.k`` components (an
+    over-segmentation: fragments of one motion merge cheaply later),
+    polishes the hardened labels with single-track moves, agglomerates to
+    ``target_segments`` (or until merging stops paying), and polishes
+    again.  The restart with the lowest final loss wins; ties break toward
+    the earlier restart.  ``restarts`` and ``target_segments`` must be at
+    least 1.
 
     Returns (labels, info dict with per-restart losses and the winner).
     """
     cfg = cfg if cfg is not None else OptimConfig()
-    positions = getattr(tracks, "positions", tracks)
-    positions = np.asarray(positions, dtype=float)
+    if restarts < 1:
+        raise InvalidInputError(f"restarts must be at least 1, got {restarts}")
+    if target_segments is not None and target_segments < 1:
+        raise InvalidInputError(f"target_segments must be at least 1, got {target_segments}")
+    positions = np.asarray(tracks, dtype=float)
     kind = cfg.loss_kind
     runs = []
-    for restart in range(max(restarts, 1)):
+    for restart in range(restarts):
         sub = replace(
-            cfg,
-            k=over_segments,
-            seed=int(np.random.default_rng([cfg.seed, restart]).integers(2**31)),
+            cfg, seed=int(np.random.default_rng([cfg.seed, restart]).integers(2**31))
         )
         assignment, _ = optimize_sequence(positions, cfg=sub)
         labels = hard_labels(assignment)
         order = np.argsort(-assignment.weights, axis=1)
         candidates = [row[:3] for row in order]
-        labels = greedy_reassign(
-            positions, labels, kind, cfg.r, sweeps, candidates=candidates
-        )
+        labels = greedy_reassign(positions, labels, kind, cfg.r, candidates=candidates)
         labels = merge_segments(positions, labels, kind, cfg.r, target=target_segments)
-        labels = greedy_reassign(positions, labels, kind, cfg.r, sweeps)
+        labels = greedy_reassign(positions, labels, kind, cfg.r)
         loss = hard_loss(positions, labels, kind, cfg.r)
         runs.append((loss, restart, labels))
     best_loss, best_restart, best_labels = min(runs, key=lambda t: (t[0], t[1]))

@@ -98,8 +98,8 @@ def _read_table(path, shape=None, **kwargs):
 def load_scene(scene_dir) -> SceneTruth:
     """Rebuild a scene from its files.
 
-    Only observables are serialized, so the generator internals
-    (camera, per-object geometry) come back as None.
+    Only observables are serialized, so the generator's per-object
+    geometry comes back empty.
     """
     root = Path(scene_dir)
     manifest_path = root / "manifest.json"
@@ -153,7 +153,6 @@ def load_scene(scene_dir) -> SceneTruth:
         tracks=tracks,
         masks=masks,
         flows=flows,
-        camera=None,
         geometry=(),
         metadata=manifest.get("metadata", {}),
     )

@@ -184,7 +184,6 @@ class SceneTruth:
     tracks: TrajectoryMatrix
     masks: np.ndarray  # (T, H, W) integer component labels
     flows: np.ndarray  # (T-1, H*W, 2) pixels/frame
-    camera: np.ndarray | None
     geometry: tuple
     metadata: dict = field(default_factory=dict)
 
@@ -450,7 +449,7 @@ def _build_planar2d(rng, cfg):
             obj = np.column_stack([rot, centers[k] + vel * t])
             maps[t] = _compose_affine(cam[t], obj)
         components.append(ObjectGeometry(label=k + 1, polygon=poly, maps=maps))
-    return components, cam
+    return components
 
 
 def _build_rigid3d(rng, cfg, perspective):
@@ -607,14 +606,7 @@ def _build_rigid3d(rng, cfg, perspective):
                 world_maps=worlds,
             )
         )
-
-    camera = np.empty((frames, 3, 4))
-    for t in range(frames):
-        rc, tc = world_to_cam(t)
-        camera[t] = kmat @ np.column_stack([rc, tc]) if perspective else np.column_stack(
-            [rc, tc]
-        )
-    return components, camera
+    return components
 
 
 def _projected_polygon(comp, t):
@@ -805,9 +797,9 @@ def make_scene(cfg: SceneConfig) -> SceneTruth:
         rng = np.random.default_rng([cfg.motion_seed, attempt])
         try:
             if cfg.mode == "planar2d":
-                components, camera = _build_planar2d(rng, cfg)
+                components = _build_planar2d(rng, cfg)
             else:
-                components, camera = _build_rigid3d(
+                components = _build_rigid3d(
                     rng, cfg, perspective=cfg.mode == "rigid3d_perspective"
                 )
             _validate_layout(components, cfg)
@@ -840,7 +832,6 @@ def make_scene(cfg: SceneConfig) -> SceneTruth:
                 tracks=tracks,
                 masks=masks,
                 flows=flows,
-                camera=camera,
                 geometry=geometry,
                 metadata=metadata,
             )

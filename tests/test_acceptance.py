@@ -49,7 +49,7 @@ def _noisy_scene(seed):
 def _run_lrtl(scene, seed, loss_kind):
     cfg = OptimConfig(k=10, steps=1200, seed=seed, loss_kind=loss_kind)
     labels, _ = segment_tracks(
-        scene.tracks.positions, cfg, restarts=3, over_segments=10, target_segments=4
+        scene.tracks.positions, cfg, restarts=3, target_segments=4
     )
     return metrics.ari(labels, scene.labels)
 

@@ -14,6 +14,7 @@ from trajseg.cli import main
 from trajseg.errors import DivergenceError
 from trajseg.optimizer import hard_loss
 from trajseg.scene_io import load_scene
+from trajseg.scene_synth import window
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,29 @@ class TestSegment:
         assert len(rows) <= manifest["n_tracks"]
         assert len(rows) == len(rows[0].split(","))
 
+    def test_window_half_width_zero(self, scene_dir, tmp_path):
+        # a half width of 0 is a one-frame window, not the default of 5
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"window_center": 2, "window_half_width": 0,
+                                   "export_coefficients": True}))
+        out = tmp_path / "win0"
+        assert main(["segment", "--scene", str(scene_dir), "--method", "ssc",
+                     "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+        win = window(load_scene(scene_dir), 2, 0)
+        coeff = baselines.ssc_admm(win.positions[:, win.visible[0]])
+        text = "\n".join(",".join(f"{v:.9g}" for v in row) for row in coeff.c) + "\n"
+        assert (out / "coefficients.csv").read_text() == text
+
+    @pytest.mark.parametrize("key", ["restarts", "target_segments"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_lrtl_counts_below_one_exit_3(self, scene_dir, tmp_path, capsys, key, value):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"steps": 5, key: value}))
+        rc = main(["segment", "--scene", str(scene_dir), "--method", "lrtl",
+                   "--config", str(cfg), "--out", str(tmp_path / "lrtl"), "--seed", "1"])
+        assert rc == 3
+        assert key in capsys.readouterr().err
+
     def test_window_mode(self, scene_dir, tmp_path):
         cfg = tmp_path / "p.json"
         cfg.write_text(json.dumps({"window_center": 0, "window_half_width": 3}))
@@ -285,6 +309,8 @@ ERROR_CASES = [
     pytest.param("segment", {"target_segments": "some"}, 3, id="target-not-auto"),
     pytest.param("synth", {"frames": "eight"}, 3, id="synth-frames-string"),
     pytest.param("sweep", {"trials": None}, 3, id="sweep-trials-null"),
+    pytest.param("sweep", {"trials": 0}, 3, id="sweep-trials-zero"),
+    pytest.param("sweep", {"trials": -1}, 3, id="sweep-trials-negative"),
     pytest.param("sweep", {"taus": ["1"]}, 3, id="sweep-taus-strings"),
     pytest.param("gradcheck", {"step": True}, 3, id="gradcheck-step-bool"),
 ]

@@ -172,7 +172,6 @@ class TestRefinement:
             noisy_scene.tracks.positions,
             cfg,
             restarts=2,
-            over_segments=6,
             target_segments=3,
         )
         assert metrics.ari(labels, noisy_scene.labels) > 0.8
@@ -181,7 +180,22 @@ class TestRefinement:
     def test_segment_tracks_deterministic(self, noisy_scene):
         cfg = OptimConfig(k=5, steps=200, seed=4)
         out1, _ = segment_tracks(noisy_scene.tracks.positions, cfg, restarts=2,
-                                 over_segments=5, target_segments=3)
+                                 target_segments=3)
         out2, _ = segment_tracks(noisy_scene.tracks.positions, cfg, restarts=2,
-                                 over_segments=5, target_segments=3)
+                                 target_segments=3)
         assert np.array_equal(out1, out2)
+
+    def test_segment_tracks_over_segments_from_config(self, noisy_scene):
+        # each restart's soft phase has cfg.k components, so without a
+        # target the merges can only lower the count below k
+        cfg = OptimConfig(k=2, steps=50, seed=1)
+        labels, info = segment_tracks(noisy_scene.tracks.positions, cfg, restarts=1)
+        assert np.unique(labels).size <= 2
+        assert info["n_segments"] <= 2
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1},
+                                        {"target_segments": 0}, {"target_segments": -2}],
+                             ids=["restarts-0", "restarts-neg", "target-0", "target-neg"])
+    def test_segment_tracks_rejects_counts_below_one(self, noisy_scene, kwargs):
+        with pytest.raises(InvalidInputError):
+            segment_tracks(noisy_scene.tracks.positions, OptimConfig(k=3, steps=5), **kwargs)
