@@ -151,8 +151,11 @@ def ssc_admm(data, alpha=100.0, max_iter=200) -> CoefficientMatrix:
     ADMM penalty equals alpha.  Iterations stop when the successive
     coefficient change drops below ``SSC_TOL`` in max norm, or after
     ``max_iter`` iterations.  The zero-diagonal constraint is enforced
-    throughout.
+    throughout.  ``alpha`` must be positive: at zero the system is
+    singular, and a negative weight rewards the misfit.
     """
+    if not alpha > 0:
+        raise InvalidInputError(f"alpha must be positive, got {alpha}")
     data = nk.as_matrix(data, "data")
     n = data.shape[1]
     if n < 2:
@@ -222,7 +225,9 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000):
     starts at ``LRR_MU0`` and grows by ``rho`` each iteration up to
     ``LRR_MU_MAX``.  Stops when the constraint residual |D - DC - E|_max
     falls below ``LRR_TOL``, or after ``max_iter`` iterations; aborts if
-    the residual keeps growing for 500 consecutive iterations.
+    the residual keeps growing for 500 consecutive iterations.  ``rho``
+    must be at least 1, since a penalty that shrinks lets the constraint
+    residual grow without bound.
 
     The iterates are carried in the row space of D (Liu et al., "Robust
     recovery of subspace structures by low-rank representation", TPAMI
@@ -237,6 +242,8 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000):
     one.  The stopping rule and the divergence guard still use the max norm
     of the full gap C - J = Q(Z - Z_J), which Q does not preserve.
     """
+    if not rho >= 1:
+        raise InvalidInputError(f"rho must be at least 1, got {rho}")
     data = nk.as_matrix(data, "data")
     n = data.shape[1]
     if n < 2:

@@ -26,7 +26,7 @@ import numpy as np
 from . import baselines, feasibility, losses, metrics
 from .errors import DivergenceError, TrajsegError
 from .optimizer import OptimConfig, segment_tracks
-from .scene_io import atomic_write_text, load_scene, save_scene
+from .scene_io import atomic_write_text, load_scene, load_tracks, save_scene
 from .scene_synth import SceneConfig, make_scene, window
 
 __all__ = ["main"]
@@ -176,10 +176,8 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _center_visible(scene):
-    center = scene.config.frames // 2
-    keep = scene.tracks.visible_at(center)
-    return np.flatnonzero(keep)
+def _center_visible(tracks):
+    return np.flatnonzero(tracks.visible_at(tracks.frames // 2))
 
 
 def _segment_lrtl(tracks, config, seed):
@@ -262,26 +260,26 @@ def cmd_segment(args) -> int:
         "window_half_width": None,
     }
     config = _load_config(args.config, defaults)
-    scene = load_scene(args.scene)
+    scene_tracks = load_tracks(args.scene)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if config["window_center"] is not None:
         half = config["window_half_width"]
         half = 5 if half is None else int(half)
-        win = window(scene, int(config["window_center"]), half)
+        win = window(scene_tracks, int(config["window_center"]), half)
         keep = np.flatnonzero(win.visible[half])
         tracks = win.positions[:, keep]
     else:
-        keep = _center_visible(scene)
-        tracks = scene.tracks.positions[:, keep]
-    truth = scene.labels[keep] if scene.labels is not None else None
+        keep = _center_visible(scene_tracks)
+        tracks = scene_tracks.positions[:, keep]
+    truth = scene_tracks.labels[keep] if scene_tracks.labels is not None else None
     if args.method == "lrtl":
         labels, run_info = _segment_lrtl(tracks, config, args.seed)
     else:
         labels, run_info = _segment_baseline(
             tracks, truth, keep, args.method, config, args.seed, out
         )
-    full = np.full(scene.tracks.n_tracks, -1, dtype=int)
+    full = np.full(scene_tracks.n_tracks, -1, dtype=int)
     full[keep] = labels
     lines = ["track_id,label"] + [f"{n},{full[n]}" for n in range(full.size)]
     atomic_write_text(out / "labels.csv", "\n".join(lines) + "\n")
@@ -300,7 +298,7 @@ def cmd_segment(args) -> int:
             "" if report[k] is None else f"{report[k]}" for k in keys
         ) + "\n"
         atomic_write_text(out / "metrics.csv", csv_text)
-    run_info.update({"method": args.method, "n_tracks": int(scene.tracks.n_tracks),
+    run_info.update({"method": args.method, "n_tracks": int(scene_tracks.n_tracks),
                      "n_used": int(keep.size), "seed": args.seed})
     atomic_write_text(out / "run.json", json.dumps(run_info, sort_keys=True, indent=2) + "\n")
     ari_text = "n/a" if report["ari"] is None else f"{report['ari']:.4f}"

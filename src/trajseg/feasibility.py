@@ -134,6 +134,10 @@ def corrupt_temperature(mask, tau, num_classes=None) -> L.SoftAssignment:
     Labels become logits of magnitude ``LOGIT_SCALE`` on the true class;
     softmax(logits / tau) then yields a pixel-mode soft assignment.  Small
     tau recovers hard masks, large tau approaches uniform membership.
+    Every pixel of one class has the same logit row, and the softmax works
+    row by row, so each class is softened once (a k x k table) and its row
+    gathered for every pixel of the class: the same weights, bit for bit,
+    as softening each pixel.
     """
     mask = np.asarray(mask)
     if mask.ndim != 2:
@@ -141,9 +145,8 @@ def corrupt_temperature(mask, tau, num_classes=None) -> L.SoftAssignment:
     if tau <= 0:
         raise InvalidInputError("tau must be positive")
     k = int(mask.max()) + 1 if num_classes is None else int(num_classes)
-    logits = np.zeros((mask.size, k))
-    logits[np.arange(mask.size), mask.ravel()] = LOGIT_SCALE
-    return L.SoftAssignment.from_logits(logits / tau, mode="pixel", grid=mask.shape)
+    rows = L.softmax(np.eye(k) * LOGIT_SCALE / tau)
+    return L.SoftAssignment(weights=rows[mask.ravel()], mode="pixel", grid=mask.shape)
 
 
 def apply_corruption(masks, spec: CorruptionSpec, num_classes=None) -> L.SoftAssignment:

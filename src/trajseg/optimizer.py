@@ -62,6 +62,8 @@ class OptimConfig:
             raise InvalidInputError("need at least 2 segments")
         if self.steps < 1:
             raise InvalidInputError("need at least 1 step")
+        if not self.step_size > 0:
+            raise InvalidInputError(f"step_size must be positive, got {self.step_size}")
         if self.loss_kind not in LOSS_KINDS:
             raise InvalidInputError(f"loss_kind must be one of {LOSS_KINDS}")
 

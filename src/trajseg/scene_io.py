@@ -5,6 +5,11 @@ metadata), ``trajectories.csv`` with one row per (track, frame),
 ``mask_####.csv`` integer label grids per frame, and ``flow_####.csv``
 per frame pair.  Writes are atomic (temp file then rename) and all
 formatting is fixed so identical scenes produce identical bytes.
+
+``synth`` writes every file.  ``segment`` reads only the manifest and
+``trajectories.csv`` (``load_tracks``); ``sweep`` reads the whole scene
+(``load_scene``), because it corrupts the masks.  No command reads the
+flow tables back; ``load_scene`` still parses and checks them.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .scene_synth import SceneConfig, SceneTruth, TrajectoryMatrix
 
-__all__ = ["atomic_write_text", "save_scene", "load_scene"]
+__all__ = ["atomic_write_text", "save_scene", "load_tracks", "load_scene"]
 
 
 def atomic_write_text(path, text):
@@ -50,15 +55,20 @@ def _trajectories_csv(tracks: TrajectoryMatrix) -> str:
 
 
 def _mask_csv(grid) -> str:
-    return "\n".join(",".join(str(int(v)) for v in row) for row in grid) + "\n"
+    return "\n".join(",".join(map(str, row)) for row in grid.tolist()) + "\n"
 
 
-def _flow_csv(flow, h, w) -> str:
-    lines = ["x,y,u,v"]
-    for p in range(h * w):
-        y, x = divmod(p, w)
-        lines.append(f"{x},{y},{flow[p, 0]:.9g},{flow[p, 1]:.9g}")
-    return "\n".join(lines) + "\n"
+def _flow_csvs(flows, h, w):
+    """The text of each flow table, one per frame pair.
+
+    The ``x,y,`` prefix of every pixel is part of one format template,
+    built once, so each table is a single ``%`` over its u, v values.
+    """
+    template = "x,y,u,v\n" + "".join(
+        f"{x},{y},%.9g,%.9g\n" for y in range(h) for x in range(w)
+    )
+    for flow in flows:
+        yield template % tuple(flow.ravel().tolist())
 
 
 def save_scene(scene: SceneTruth, out_dir) -> None:
@@ -79,8 +89,8 @@ def save_scene(scene: SceneTruth, out_dir) -> None:
     atomic_write_text(out / "trajectories.csv", _trajectories_csv(scene.tracks))
     for t in range(scene.config.frames):
         atomic_write_text(out / f"mask_{t:04d}.csv", _mask_csv(scene.masks[t]))
-    for t in range(scene.config.frames - 1):
-        atomic_write_text(out / f"flow_{t:04d}.csv", _flow_csv(scene.flows[t], h, w))
+    for t, text in enumerate(_flow_csvs(scene.flows, h, w)):
+        atomic_write_text(out / f"flow_{t:04d}.csv", text)
 
 
 def _read_table(path, shape=None, **kwargs):
@@ -95,13 +105,8 @@ def _read_table(path, shape=None, **kwargs):
     return table
 
 
-def load_scene(scene_dir) -> SceneTruth:
-    """Rebuild a scene from its files.
-
-    Only observables are serialized, so the generator's per-object
-    geometry comes back empty.
-    """
-    root = Path(scene_dir)
+def _read_manifest(root):
+    """The scene config, track count and metadata from ``manifest.json``."""
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise InvalidInputError(f"no manifest.json under {root}")
@@ -113,9 +118,10 @@ def load_scene(scene_dir) -> SceneTruth:
         n_tracks = int(manifest["n_tracks"])
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed manifest.json: {exc}") from exc
-    frames = cfg.frames
-    h, w = cfg.grid
+    return cfg, n_tracks, manifest.get("metadata", {})
 
+
+def _read_tracks(root, frames, n_tracks) -> TrajectoryMatrix:
     table = _read_table(
         root / "trajectories.csv", shape=(n_tracks * frames, 6), skiprows=1
     )
@@ -135,12 +141,33 @@ def load_scene(scene_dir) -> SceneTruth:
     labels = np.zeros(n_tracks, dtype=int)
     first = frame == 0
     labels[track[first]] = table[first, 5].astype(int)
-    tracks = TrajectoryMatrix(
+    return TrajectoryMatrix(
         positions=positions,
         visible=visible,
         labels=None if np.all(labels < 0) else labels,
     )
 
+
+def load_tracks(scene_dir) -> TrajectoryMatrix:
+    """The tracks of a scene, read from its manifest and ``trajectories.csv``
+    alone; the mask and flow tables are neither read nor checked."""
+    root = Path(scene_dir)
+    cfg, n_tracks, _ = _read_manifest(root)
+    return _read_tracks(root, cfg.frames, n_tracks)
+
+
+def load_scene(scene_dir) -> SceneTruth:
+    """Rebuild a scene from its files: the tracks of ``load_tracks`` plus
+    every mask and flow table, each checked against the manifest's sizes.
+
+    Only observables are serialized, so the generator's per-object
+    geometry comes back empty.
+    """
+    root = Path(scene_dir)
+    cfg, n_tracks, metadata = _read_manifest(root)
+    frames = cfg.frames
+    h, w = cfg.grid
+    tracks = _read_tracks(root, frames, n_tracks)
     masks = np.zeros((frames, h, w), dtype=np.int16)
     for t in range(frames):
         masks[t] = _read_table(root / f"mask_{t:04d}.csv", shape=(h, w), dtype=np.int16)
@@ -154,5 +181,5 @@ def load_scene(scene_dir) -> SceneTruth:
         masks=masks,
         flows=flows,
         geometry=(),
-        metadata=manifest.get("metadata", {}),
+        metadata=metadata,
     )

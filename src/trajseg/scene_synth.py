@@ -850,14 +850,14 @@ def _reflect_index(i, frames):
     return m if m < frames else period - m
 
 
-def window(scene: SceneTruth, center: int, half_width: int) -> TrajectoryMatrix:
+def window(tracks: TrajectoryMatrix, center: int, half_width: int) -> TrajectoryMatrix:
     """Track window of frames center-f ... center+f with reflection padding.
 
     Frame indices falling outside the video reflect around the boundaries
     (no repeated edge frame), so a window at center 0 with f=2 covers
     frames [2, 1, 0, 1, 2].
     """
-    frames = scene.config.frames
+    frames = tracks.frames
     if not 0 <= center < frames:
         raise RangeError(f"center {center} outside [0, {frames - 1}]")
     if half_width < 0:
@@ -866,7 +866,6 @@ def window(scene: SceneTruth, center: int, half_width: int) -> TrajectoryMatrix:
         _reflect_index(i, frames)
         for i in range(center - half_width, center + half_width + 1)
     ]
-    tracks = scene.tracks
     rows = []
     for t in order:
         rows.append(tracks.positions[2 * t])

@@ -359,3 +359,39 @@ def full_space_lrr(data, lam=0.2, rho=1.01, max_iter=10_000, tol=1e-7, mu0=1e-6,
         y2 = y2 + mu * gap_aux
         mu = min(mu_max, mu * rho)
     return c, err, iterations, primal
+
+
+def temperature_weights(mask, tau, num_classes, scale):
+    """One softmax row per pixel of the logits ``scale`` on the pixel's label,
+    divided by ``tau``."""
+    mask = np.asarray(mask)
+    k = int(mask.max()) + 1 if num_classes is None else int(num_classes)
+    logits = np.zeros((mask.size, k))
+    logits[np.arange(mask.size), mask.ravel()] = scale
+    return _softmax(logits / tau)
+
+
+# scene tables formatted one value at a time with f-strings
+def trajectories_csv(tracks):
+    lines = ["track_id,frame,x,y,visible,label"]
+    labels = tracks.labels
+    for n in range(tracks.n_tracks):
+        label = int(labels[n]) if labels is not None else -1
+        for t in range(tracks.frames):
+            x = tracks.positions[2 * t, n]
+            y = tracks.positions[2 * t + 1, n]
+            visible = int(tracks.visible[t, n])
+            lines.append(f"{n},{t},{x:.9g},{y:.9g},{visible},{label}")
+    return "\n".join(lines) + "\n"
+
+
+def mask_csv(grid):
+    return "\n".join(",".join(str(int(v)) for v in row) for row in grid) + "\n"
+
+
+def flow_csv(flow, h, w):
+    lines = ["x,y,u,v"]
+    for p in range(h * w):
+        y, x = divmod(p, w)
+        lines.append(f"{x},{y},{flow[p, 0]:.9g},{flow[p, 1]:.9g}")
+    return "\n".join(lines) + "\n"

@@ -110,6 +110,13 @@ class TestSscAdmm:
         with pytest.raises(DegenerateInputError):
             B.ssc_admm(np.eye(4), alpha=100.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -5.0])
+    def test_alpha_not_positive_rejected(self, alpha):
+        # alpha 0 makes the ADMM system singular; a negative one rewards misfit
+        rng = np.random.default_rng(4)
+        with pytest.raises(InvalidInputError, match="alpha"):
+            B.ssc_admm(rng.standard_normal((10, 8)), alpha=alpha)
+
 
 class TestLrr:
     # noise-free recovery wants the error weight well above the per-column
@@ -147,6 +154,12 @@ class TestLrr:
         norms = np.linalg.norm(out.noise, axis=0)
         assert norms.argmax() == 4
         assert norms[4] > 3 * np.delete(norms, 4).max()
+
+    @pytest.mark.parametrize("rho", [0.5, 0.0, -1.01])
+    def test_shrinking_penalty_rejected(self, rho):
+        rng = np.random.default_rng(6)
+        with pytest.raises(InvalidInputError, match="rho"):
+            B.lrr(rng.standard_normal((10, 8)), rho=rho)
 
 
 class TestAffinity:

@@ -13,7 +13,7 @@ from trajseg import baselines, losses
 from trajseg.cli import main
 from trajseg.errors import DivergenceError
 from trajseg.optimizer import hard_loss
-from trajseg.scene_io import load_scene
+from trajseg.scene_io import load_scene, load_tracks
 from trajseg.scene_synth import window
 
 
@@ -163,7 +163,7 @@ class TestSegment:
         out = tmp_path / "win0"
         assert main(["segment", "--scene", str(scene_dir), "--method", "ssc",
                      "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
-        win = window(load_scene(scene_dir), 2, 0)
+        win = window(load_tracks(scene_dir), 2, 0)
         coeff = baselines.ssc_admm(win.positions[:, win.visible[0]])
         text = "\n".join(",".join(f"{v:.9g}" for v in row) for row in coeff.c) + "\n"
         assert (out / "coefficients.csv").read_text() == text
@@ -199,6 +199,41 @@ class TestSegment:
         assert run["iterations"] == coeff.iterations
         assert run["primal_residual"] == coeff.primal_residual
         assert run["converged"] is coeff.converged
+
+    @pytest.mark.parametrize("method,config", [
+        pytest.param("ssc", {"alpha": 0}, id="ssc-alpha-zero"),
+        pytest.param("ssc", {"alpha": -5}, id="ssc-alpha-negative"),
+        pytest.param("lrtl", {"step_size": 0}, id="lrtl-step-size-zero"),
+        pytest.param("lrtl", {"step_size": -0.05}, id="lrtl-step-size-negative"),
+        pytest.param("lrr", {"rho": 0.5, "max_iter": 300}, id="lrr-rho-below-one"),
+    ])
+    def test_out_of_range_value_exit_3(self, scene_dir, tmp_path, capsys, method, config):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["segment", "--scene", str(scene_dir), "--method", method,
+                   "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert next(iter(config)) in err
+
+    @pytest.mark.parametrize("method,config", [
+        ("kmeans", {}),
+        ("ssc", {"window_center": 2, "window_half_width": 1, "export_coefficients": True}),
+    ])
+    def test_needs_no_mask_or_flow_table(self, scene_dir, tmp_path, method, config):
+        bare = tmp_path / "bare"
+        shutil.copytree(scene_dir, bare)
+        for path in list(bare.glob("mask_*.csv")) + list(bare.glob("flow_*.csv")):
+            path.unlink()
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps(config))
+        for scene, out in ((scene_dir, "full"), (bare, "bare")):
+            assert main(["segment", "--scene", str(scene), "--method", method, "--config",
+                         str(cfg), "--out", str(tmp_path / out), "--seed", "1"]) == 0
+        for fname in ("labels.csv", "metrics.json", "run.json"):
+            assert (tmp_path / "full" / fname).read_bytes() == (
+                tmp_path / "bare" / fname).read_bytes()
 
     def test_diverged_solver_exit_code(self, scene_dir, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
@@ -298,8 +333,9 @@ ERROR_CASES = [
     pytest.param("segment", ("trajectories.csv", _drop_last_lines(3)), 3, id="truncated-tracks"),
     pytest.param("segment", ("trajectories.csv", _cut_mid_line), 3, id="tracks-cut-mid-line"),
     pytest.param("segment", ("trajectories.csv", _duplicate_first_row), 3, id="duplicated-row"),
-    pytest.param("segment", ("mask_0003.csv", _drop_last_lines(1)), 3, id="short-mask"),
-    pytest.param("segment", ("flow_0000.csv", _replace_with("x,y,u,v\na,b,c,d\n")), 3,
+    # segment reads only the manifest and the tracks; sweep parses every table
+    pytest.param("sweep", ("mask_0003.csv", _drop_last_lines(1)), 3, id="short-mask"),
+    pytest.param("sweep", ("flow_0000.csv", _replace_with("x,y,u,v\na,b,c,d\n")), 3,
                  id="non-numeric-flow"),
     pytest.param("segment", ("manifest.json", _replace_with("{")), 3, id="manifest-not-json"),
     pytest.param("segment", ("trajectories.csv", lambda p: p.unlink()), 2, id="missing-tracks"),

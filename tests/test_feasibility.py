@@ -5,6 +5,8 @@ from trajseg import feasibility as F
 from trajseg.errors import InvalidInputError
 from trajseg.scene_synth import SceneConfig, make_scene
 
+from oracles import temperature_weights
+
 
 @pytest.fixture(scope="module")
 def scene():
@@ -103,6 +105,17 @@ class TestTemperature:
         expect = np.e / (np.e + 3.0)
         assert soft.weights[0, 0] == pytest.approx(expect, abs=1e-4)
         assert round(float(soft.weights[0, 0]), 4) == 0.4754
+
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("extra_classes", [None, 4])
+    def test_bitwise_equal_to_per_pixel_softmax(self, tau, extra_classes):
+        mask = np.random.default_rng(3).integers(0, 8, (30, 40))
+        k = None if extra_classes is None else int(mask.max()) + 1 + extra_classes
+        soft = F.corrupt_temperature(mask, tau, num_classes=k)
+        expect = temperature_weights(mask, tau, k, F.LOGIT_SCALE)
+        assert soft.mode == "pixel" and soft.grid == mask.shape
+        assert soft.weights.shape == expect.shape
+        assert np.array_equal(soft.weights, expect)
 
 
 @pytest.fixture(scope="module")

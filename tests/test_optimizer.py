@@ -81,6 +81,11 @@ class TestOptimizeSequence:
         with pytest.raises(InvalidInputError):
             optimize_sequence(np.zeros((8, 3)), cfg=OptimConfig(k=4, steps=1))
 
+    @pytest.mark.parametrize("step_size", [0.0, -0.05])
+    def test_step_size_not_positive_rejected(self, step_size):
+        with pytest.raises(InvalidInputError, match="step_size"):
+            OptimConfig(k=2, steps=1, step_size=step_size)
+
     def test_nonfinite_loss_aborts_with_trace(self):
         # track values near the float ceiling overflow the singular-value
         # sum, which must abort with the partial trace attached

@@ -266,7 +266,7 @@ class TestNoiseAndVisibility:
 class TestWindow:
     def test_reflection_at_start(self):
         sc = make_scene(SceneConfig(frames=5, motion_seed=1))
-        win = window(sc, 0, 2)
+        win = window(sc.tracks, 0, 2)
         p = sc.tracks.positions
         assert np.array_equal(win.positions[0:2], p[4:6])
         assert np.array_equal(win.positions[2:4], p[2:4])
@@ -276,13 +276,13 @@ class TestWindow:
 
     def test_zero_half_width(self):
         sc = make_scene(SceneConfig(frames=5, motion_seed=1))
-        win = window(sc, 3, 0)
+        win = window(sc.tracks, 3, 0)
         assert win.positions.shape[0] == 2
         assert np.array_equal(win.positions, sc.tracks.positions[6:8])
 
     def test_reflection_at_end(self):
         sc = make_scene(SceneConfig(frames=5, motion_seed=1))
-        win = window(sc, 4, 1)
+        win = window(sc.tracks, 4, 1)
         p = sc.tracks.positions
         assert np.array_equal(win.positions[0:2], p[6:8])
         assert np.array_equal(win.positions[2:4], p[8:10])
@@ -291,4 +291,4 @@ class TestWindow:
     def test_center_out_of_range(self):
         sc = make_scene(SceneConfig(frames=5, motion_seed=1))
         with pytest.raises(RangeError):
-            window(sc, 5, 1)
+            window(sc.tracks, 5, 1)
