@@ -44,7 +44,6 @@ class CoefficientMatrix:
     """
 
     c: np.ndarray
-    method: str
     iterations: int
     primal_residual: float
     converged: bool
@@ -189,7 +188,6 @@ def ssc_admm(data, alpha=100.0, max_iter=200) -> CoefficientMatrix:
             break
     return CoefficientMatrix(
         c=c,
-        method="ssc",
         iterations=iterations,
         primal_residual=float(np.abs(z - c).max()),
         converged=converged,
@@ -292,7 +290,6 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000):
         mu = min(LRR_MU_MAX, mu * rho)
     return CoefficientMatrix(
         c=q @ z,
-        method="lrr",
         iterations=iterations,
         primal_residual=primal,
         converged=converged,

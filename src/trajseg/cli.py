@@ -99,7 +99,8 @@ _INT_PAIR = (_list_of(_is_int, 2), "a list of two integers")
 _INTS = (_list_of(_is_int), "a list of integers")
 _REALS = (_list_of(_is_real), "a list of finite numbers")
 
-# type of every numeric config key, checked before any command uses it
+# type of every config key but the loss and scene mode names, checked
+# before any command uses it
 VALUE_TYPES = {
     "num_objects": _INT,
     "frames": _INT,
@@ -134,6 +135,11 @@ VALUE_TYPES = {
     "tracks": _INT,
     "segments": _INT,
     "step": _REAL,
+    "export_coefficients": (lambda v: isinstance(v, bool), "true or false"),
+    "assertions": (
+        _list_of(lambda v: v in feasibility.ASSERTIONS),
+        f"a list of names from {list(feasibility.ASSERTIONS)}",
+    ),
 }
 
 SYNTH_KEYS = {
@@ -314,7 +320,7 @@ def cmd_sweep(args) -> int:
         "trials": 25,
         "loss": "tail",
         "r": losses.DEFAULT_RANK,
-        "assertions": ["eta_monotone", "tau_monotone", "under_over_asymmetry", "min_at_truth"],
+        "assertions": feasibility.ASSERTIONS,
     }
     config = _load_config(args.config, defaults)
     scene = load_scene(args.scene)

@@ -21,6 +21,7 @@ from .scene_synth import SceneTruth
 
 __all__ = [
     "LOGIT_SCALE",
+    "ASSERTIONS",
     "CorruptionSpec",
     "SweepResult",
     "corrupt_noise",
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 LOGIT_SCALE = 10.0  # one-hot labels become logits of this magnitude
+
+ASSERTIONS = ("eta_monotone", "tau_monotone", "under_over_asymmetry", "min_at_truth")
 
 
 @dataclass(frozen=True)
@@ -229,12 +232,14 @@ def sweep(
     trajectory positions and the selected loss evaluated on the full
     window.  Cells are deterministic given (seed, cell index, trial).
     Splits beyond the available object count are clipped out of the
-    ``ss`` axis.  ``trials`` must be at least 1.
+    ``ss`` axis.  ``trials`` must be at least 1, and ``r`` must leave the
+    loss a singular value to score (``losses.check_rank``).
     """
     if trials < 1:
         raise InvalidInputError(f"trials must be at least 1, got {trials}")
     if loss not in _LOSS_FNS:
         raise InvalidInputError(f"loss must be one of {sorted(_LOSS_FNS)}")
+    L.check_rank(loss, r, scene.tracks.positions.shape)
     loss_fn = _LOSS_FNS[loss]
     n_objects = int(scene.masks.max())
     ss = [s for s in ss if abs(int(s)) <= n_objects]
@@ -273,9 +278,7 @@ def sweep(
     return result
 
 
-def check_assertions(result: SweepResult, names=("eta_monotone", "tau_monotone",
-                                                 "under_over_asymmetry",
-                                                 "min_at_truth")):
+def check_assertions(result: SweepResult, names=ASSERTIONS):
     """Evaluate the configured landscape assertions on a sweep result.
 
     Returns a list of (name, passed, detail) triples.  Monotonicity runs

@@ -39,9 +39,8 @@ __all__ = [
     "trajectory_tail_loss",
     "trajectory_tail_grad",
     "trajectory_reconstruction_loss",
-    "trajectory_reconstruction_grad",
     "trajectory_projective_loss",
-    "trajectory_projective_grad",
+    "check_rank",
     "hard_group_loss",
     "tracks_as_flow_loss",
 ]
@@ -332,11 +331,6 @@ def trajectory_reconstruction_loss(
     return _rank_residual_terms(assignment.weights, tracks, r)[0]
 
 
-def trajectory_reconstruction_grad(logits, tracks, r=DEFAULT_RANK):
-    _, g = trajectory_reconstruction_value_and_grad(logits, tracks, r)
-    return g
-
-
 def trajectory_reconstruction_value_and_grad(logits, tracks, r=DEFAULT_RANK):
     logits = nk.as_matrix(logits, "logits")
     weights = softmax(logits)
@@ -367,17 +361,28 @@ def trajectory_projective_loss(assignment: SoftAssignment, tracks) -> float:
     return _rank_residual_terms(assignment.weights, _lift_homogeneous(tracks), 4)[0]
 
 
-def trajectory_projective_grad(logits, tracks):
-    _, g = trajectory_projective_value_and_grad(logits, tracks)
-    return g
-
-
 def trajectory_projective_value_and_grad(logits, tracks):
     logits = nk.as_matrix(logits, "logits")
     weights = softmax(logits)
     tracks = _check_tracks(weights, tracks, frame_paired=True)
     value, grad_weights = _rank_residual_terms(weights, _lift_homogeneous(tracks), 4)
     return value, _chain_softmax(weights, grad_weights)
+
+
+def check_rank(kind, r, shape):
+    """Reject, with a ``RangeError``, a rank index at which loss ``kind``
+    scores no singular value of any group of an (m, n) track matrix.
+
+    The tail sums sigma_i from index r on, so it needs r <= min(m, n);
+    reconstruction sums sigma_i^2 beyond r, so it needs r < min(m, n).  The
+    projective and tracks-as-flow losses take no rank index.
+    """
+    q = min(shape)
+    if (kind == "tail" and r > q) or (kind == "reconstruction" and r >= q):
+        raise RangeError(
+            f"rank index r={r} leaves the {kind} loss no singular value of the "
+            f"{shape[0]}x{shape[1]} track matrix to score"
+        )
 
 
 def hard_group_loss(columns, kind="tail", r=DEFAULT_RANK) -> float:

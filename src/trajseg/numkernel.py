@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels used by the losses and baselines.
 
 Everything here is a pure function of float64 arrays.  The kernels are
-deliberately small: a compact SVD with a fixed sign convention, a
-ridge-stabilised least-squares solve and a symmetric eigendecomposition.
+deliberately small: a compact SVD, a ridge-stabilised least-squares solve
+and a symmetric eigendecomposition.
 The trajectory losses run their own batched decompositions of all groups
 at once in ``losses``; the flow-fit losses hand ``lstsq`` every segment and
 frame pair as one stack, and the baselines use the kernels here.
@@ -51,29 +51,19 @@ class SvdFactors:
 
 
 def svd(a) -> SvdFactors:
-    """Compact singular value decomposition with a fixed sign convention.
+    """Compact singular value decomposition, as ``np.linalg.svd`` returns it.
 
-    The first entry of each left singular vector that is meaningfully
-    nonzero (|entry| > 1e-12 times the column max) is made nonnegative,
-    flipping the matching right vector with it.  This pins an otherwise
-    arbitrary sign choice so that repeated runs produce identical factors.
+    The signs of matching singular vector pairs are LAPACK's.  The only
+    caller, LRR's singular-value thresholding, multiplies ``u`` and ``v.T``
+    back together, so it cannot observe them.
 
     Raises
     ------
     InvalidInputError
         If ``a`` contains non-finite entries or is not 2-d.
     """
-    a = as_matrix(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = vt.T.copy()
-    u = u.copy()
-    mag = np.abs(u)
-    amax = mag.max(axis=0)
-    lead = (mag > 1e-12 * amax).argmax(axis=0)
-    flip = u[lead, np.arange(s.size)] < 0.0
-    u[:, flip] = -u[:, flip]
-    v[:, flip] = -v[:, flip]
-    return SvdFactors(u=u, sigma=s, v=v)
+    u, s, vt = np.linalg.svd(as_matrix(a), full_matrices=False)
+    return SvdFactors(u=u, sigma=s, v=vt.T)
 
 
 def lstsq(e, f) -> np.ndarray:

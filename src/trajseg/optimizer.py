@@ -73,7 +73,6 @@ class OptimTrace:
     """Per-step record of one run."""
 
     losses: np.ndarray
-    final_logits: np.ndarray
     converged: bool
     steps_run: int
 
@@ -134,7 +133,6 @@ def optimize_sequence(tracks, cfg: OptimConfig | None = None):
                     break
     trace = OptimTrace(
         losses=losses[:step + 1],
-        final_logits=logits,
         converged=converged and not diverged,
         steps_run=step + 1,
     )
@@ -256,7 +254,8 @@ def segment_tracks(
     ``target_segments`` (or until merging stops paying), and polishes
     again.  The restart with the lowest final loss wins; ties break toward
     the earlier restart.  ``restarts`` and ``target_segments`` must be at
-    least 1.
+    least 1, and ``cfg.r`` must leave the loss a singular value to score
+    (``losses.check_rank``).
 
     Returns (labels, info dict with per-restart losses and the winner).
     """
@@ -267,6 +266,7 @@ def segment_tracks(
         raise InvalidInputError(f"target_segments must be at least 1, got {target_segments}")
     positions = np.asarray(tracks, dtype=float)
     kind = cfg.loss_kind
+    L.check_rank(kind, cfg.r, positions.shape)
     runs = []
     for restart in range(restarts):
         sub = replace(

@@ -158,22 +158,16 @@ class TrajectoryMatrix:
 class ObjectGeometry:
     """Generator internals for one scene component.
 
+    ``polygon`` is the component's outline in patch coordinates, and
     ``maps`` sends patch coordinates to image pixels per frame: (T, 2, 3)
     affine rows for the affine regimes, (T, 3, 3) homographies for the
-    perspective regime.  For the 3-d regimes ``world_maps`` holds the
-    (T, 3, 4) maps from homogeneous reference points to camera
-    coordinates, ``plane`` the (3, 3) patch-to-world frame [u v c], and
-    ``point_patch`` / ``point_depths`` the patch coordinates and initial
-    projective depths of this component's sampled tracks.
+    perspective regime.  Masks, flows and tracks are all drawn through
+    these maps.
     """
 
     label: int
     polygon: np.ndarray
     maps: np.ndarray
-    plane: np.ndarray | None = None
-    world_maps: np.ndarray | None = None
-    point_patch: np.ndarray | None = None
-    point_depths: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -515,10 +509,9 @@ def _build_rigid3d(rng, cfg, perspective):
     )
 
     def patch_chain(plane, rot_series, disp_series):
-        """Per-frame patch->camera (3x3) and homogeneous world maps (3x4)."""
+        """Per-frame patch->camera maps (3x3)."""
         u, v, c = plane[:, 0], plane[:, 1], plane[:, 2]
         cams = np.empty((frames, 3, 3))
-        worlds = np.empty((frames, 3, 4))
         for t in range(frames):
             rob = rot_series[t]
             gt = np.column_stack([rob @ u, rob @ v, c + disp_series[t]])
@@ -526,22 +519,16 @@ def _build_rigid3d(rng, cfg, perspective):
             ct = rc @ gt
             ct[:, 2] += tc
             cams[t] = ct
-            m3 = rc @ rob
-            m_off = rc @ (c + disp_series[t] - rob @ c) + tc
-            worlds[t] = np.column_stack([m3, m_off])
-        return cams, worlds
+        return cams
 
     identity_rots = [np.eye(3)] * frames
     zero_disp = np.zeros((frames, 3))
-    bg_plane = np.column_stack([bg_u, bg_v, bg_c])
-    bg_cams, bg_worlds = patch_chain(bg_plane, identity_rots, zero_disp)
+    bg_cams = patch_chain(np.column_stack([bg_u, bg_v, bg_c]), identity_rots, zero_disp)
     components.append(
         ObjectGeometry(
             label=0,
             polygon=bg_poly,
             maps=np.stack([project_map(c) for c in bg_cams]),
-            plane=bg_plane,
-            world_maps=bg_worlds,
         )
     )
 
@@ -590,8 +577,7 @@ def _build_rigid3d(rng, cfg, perspective):
                 * z
                 * np.sin(0.6 * np.arange(frames) + rng.uniform(0, 2 * np.pi))
             )
-        plane = np.column_stack([u, v, c3])
-        cams, worlds = patch_chain(plane, rots, disp)
+        cams = patch_chain(np.column_stack([u, v, c3]), rots, disp)
         if perspective:
             poly_h = np.column_stack([poly, np.ones(len(poly))])
             depths = np.einsum("vj,tj->tv", poly_h, cams[:, 2, :])
@@ -602,8 +588,6 @@ def _build_rigid3d(rng, cfg, perspective):
                 label=k + 1,
                 polygon=poly,
                 maps=np.stack([project_map(c) for c in cams]),
-                plane=plane,
-                world_maps=worlds,
             )
         )
     return components
@@ -687,7 +671,7 @@ def _sample_tracks(components, masks, cfg, rng, allow_empty=False):
     seeds = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
     owner = masks[0][ys.ravel(), xs.ravel()]
 
-    arrays = {"pos": [], "vis": [], "lab": [], "patch": {}, "depth": {}}
+    arrays = {"pos": [], "vis": [], "lab": []}
     object_polys = {
         comp.label: [_projected_polygon(comp, t) for t in range(frames)]
         for comp in components[1:]
@@ -696,10 +680,8 @@ def _sample_tracks(components, masks, cfg, rng, allow_empty=False):
     for comp in components:
         sel = owner == comp.label
         if not np.any(sel):
-            arrays["patch"][comp.label] = np.zeros((0, 2))
             continue
-        pts0 = seeds[sel]
-        patch = _apply_map(_invert_map(comp.maps[0]), pts0)
+        patch = _apply_map(_invert_map(comp.maps[0]), seeds[sel])
         traj = np.stack(
             [_apply_map(comp.maps[t], patch) for t in range(frames)]
         )  # (T, n, 2)
@@ -710,9 +692,8 @@ def _sample_tracks(components, masks, cfg, rng, allow_empty=False):
                 [_convex_sdf(traj[t], object_polys[comp.label][t]) for t in range(frames)]
             )
             keep = (sdf <= -_EDGE_MARGIN).all(axis=0)
-            pts0, patch, traj = pts0[keep], patch[keep], traj[:, keep]
+            patch, traj = patch[keep], traj[:, keep]
             if patch.shape[0] == 0:
-                arrays["patch"][comp.label] = patch
                 continue
             visible = (
                 (traj[:, :, 0] >= 0)
@@ -735,13 +716,6 @@ def _sample_tracks(components, masks, cfg, rng, allow_empty=False):
         arrays["pos"].append(traj)
         arrays["vis"].append(visible)
         arrays["lab"].append(np.full(patch.shape[0], comp.label))
-        arrays["patch"][comp.label] = patch
-        if comp.world_maps is not None:
-            world0 = comp.world_maps[0]
-            plane = comp.plane
-            ref = (plane @ np.column_stack([patch, np.ones(len(patch))]).T).T
-            cam0 = ref @ world0[:, :3].T + world0[:, 3]
-            arrays["depth"][comp.label] = cam0[:, 2].copy()
 
     if not arrays["pos"]:
         raise _RetryScene("no trajectories sampled")
@@ -767,12 +741,6 @@ def _sample_tracks(components, masks, cfg, rng, allow_empty=False):
             traj = traj[:, keep]
             visible = visible[:, keep]
             labels = labels[keep]
-            bg_patch = arrays["patch"].get(0)
-            if bg_patch is not None and bg_patch.shape[0] == bg_idx.size:
-                sel = np.isin(bg_idx, keep_bg)
-                arrays["patch"][0] = bg_patch[sel]
-                if 0 in arrays["depth"]:
-                    arrays["depth"][0] = arrays["depth"][0][sel]
 
     if cfg.noise_sigma > 0:
         traj = traj + rng.normal(0.0, cfg.noise_sigma, traj.shape)
@@ -781,7 +749,7 @@ def _sample_tracks(components, masks, cfg, rng, allow_empty=False):
     positions[0::2] = traj[:, :, 0] / w
     positions[1::2] = traj[:, :, 1] / h
     tracks = TrajectoryMatrix(positions=positions, visible=visible, labels=labels)
-    return tracks, stride, arrays["patch"], arrays["depth"]
+    return tracks, stride
 
 
 def make_scene(cfg: SceneConfig) -> SceneTruth:
@@ -807,20 +775,8 @@ def make_scene(cfg: SceneConfig) -> SceneTruth:
             flows = _compute_flows(components, masks, cfg)
             # the last attempts tolerate starved components so that very
             # small frames still produce a usable scene
-            tracks, stride, patches, depths = _sample_tracks(
+            tracks, stride = _sample_tracks(
                 components, masks, cfg, rng, allow_empty=attempt >= _MAX_ATTEMPTS - 2
-            )
-            geometry = tuple(
-                ObjectGeometry(
-                    label=c.label,
-                    polygon=c.polygon,
-                    maps=c.maps,
-                    plane=c.plane,
-                    world_maps=c.world_maps,
-                    point_patch=patches.get(c.label),
-                    point_depths=depths.get(c.label),
-                )
-                for c in components
             )
             metadata = {
                 "regenerated": attempt,
@@ -832,7 +788,7 @@ def make_scene(cfg: SceneConfig) -> SceneTruth:
                 tracks=tracks,
                 masks=masks,
                 flows=flows,
-                geometry=geometry,
+                geometry=tuple(components),
                 metadata=metadata,
             )
         except _RetryScene as exc:  # perturb the seed and try again

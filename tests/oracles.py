@@ -2,10 +2,9 @@
 
 Nothing in here may call into trajseg numerics: these are the slow,
 obviously-correct routes (Jacobi rotations, plain gradient descent,
-central differences, exhaustive enumeration, direct pair counting).
+central differences, direct pair counting).
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -67,65 +66,6 @@ def central_difference_grad(fun, x, step=1e-5):
         g[idx] = (fun(xp) - fun(xm)) / (2.0 * step)
         it.iternext()
     return g
-
-
-def brute_force_assignment(cost):
-    """Minimum-cost maximum matching by enumerating all permutations.
-
-    Only usable for min(n, m) <= 8.  Returns (best column choice per row
-    with -1 for unassigned, best total cost).
-    """
-    cost = np.asarray(cost, float)
-    n, m = cost.shape
-    best_total = math.inf
-    best_assign = None
-    if n <= m:
-        for perm in itertools.permutations(range(m), n):
-            total = sum(cost[i, perm[i]] for i in range(n))
-            if total < best_total - 1e-15:
-                best_total = total
-                best_assign = np.array(perm)
-    else:
-        for rows in itertools.permutations(range(n), m):
-            total = sum(cost[rows[j], j] for j in range(m))
-            if total < best_total - 1e-15:
-                best_total = total
-                assign = np.full(n, -1)
-                for j, i in enumerate(rows):
-                    assign[i] = j
-                best_assign = assign
-    return best_assign, best_total
-
-
-def lexicographically_smallest_optimum(cost, tol=1e-9):
-    """Among all minimum-cost maximum matchings, the lexicographically
-    smallest row-to-column vector (unmatched rows rank last)."""
-    cost = np.asarray(cost, float)
-    n, m = cost.shape
-    _, best_total = brute_force_assignment(cost)
-
-    def key(assign):
-        return [m if j < 0 else j for j in assign]
-
-    best_assign = None
-    if n <= m:
-        candidates = (np.array(p) for p in itertools.permutations(range(m), n))
-    else:
-        def expand():
-            for rows in itertools.permutations(range(n), m):
-                assign = np.full(n, -1)
-                for j, i in enumerate(rows):
-                    assign[i] = j
-                yield assign
-
-        candidates = expand()
-    for assign in candidates:
-        total = sum(cost[i, assign[i]] for i in range(n) if assign[i] >= 0)
-        if abs(total - best_total) > tol:
-            continue
-        if best_assign is None or key(assign) < key(best_assign):
-            best_assign = assign.copy()
-    return best_assign, best_total
 
 
 def pair_counting_ari(pred, truth):
@@ -292,24 +232,6 @@ def _softmax(logits):
 def _chain_softmax(weights, grad_weights):
     inner = (weights * grad_weights).sum(axis=1, keepdims=True)
     return weights * (grad_weights - inner)
-
-
-def loop_sign_convention(u, s, vt):
-    """The SVD sign convention applied one column at a time: the first
-    entry of each left vector above 1e-12 of its column's max is made
-    nonnegative, flipping the matching right vector.  Returns (u, v)."""
-    v = vt.T.copy()
-    u = u.copy()
-    for j in range(s.size):
-        col = u[:, j]
-        amax = np.abs(col).max()
-        if amax == 0.0:
-            continue
-        lead = np.flatnonzero(np.abs(col) > 1e-12 * amax)[0]
-        if col[lead] < 0.0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
-    return u, v
 
 
 def full_space_lrr(data, lam=0.2, rho=1.01, max_iter=10_000, tol=1e-7, mu0=1e-6,

@@ -17,7 +17,7 @@ from trajseg.cli import main as cli_main
 from trajseg.optimizer import OptimConfig, segment_tracks
 from trajseg.scene_synth import SceneConfig, make_scene
 
-from oracles import brute_force_assignment, pair_counting_ari, random_orthonormal
+from oracles import pair_counting_ari, random_orthonormal
 
 
 def report(name, ok, detail=""):
@@ -275,17 +275,9 @@ def test_criterion_6_subspace_recovery():
 
 
 def test_criterion_7_oracle_equivalences():
-    """Hungarian vs brute force, ARI vs pair counting, Eckart-Young."""
+    """ARI vs pair counting, Eckart-Young."""
     start = time.time()
     rng = np.random.default_rng(31)
-    hung_ok = True
-    for _ in range(200):
-        n = int(rng.integers(2, 8))
-        m = int(rng.integers(2, 8))
-        cost = rng.integers(-9, 10, (n, m)).astype(float)
-        _, ref = brute_force_assignment(cost)
-        _, got = metrics.hungarian(cost)
-        hung_ok = hung_ok and abs(got - ref) < 1e-9
     ari_ok = True
     for _ in range(20):
         n = int(rng.integers(3, 10))
@@ -305,12 +297,12 @@ def test_criterion_7_oracle_equivalences():
             expect += float((sigma[4:] ** 2).sum())
         ey_ok = ey_ok and abs(value - expect) < 1e-8
     elapsed = time.time() - start
-    ok = hung_ok and ari_ok and ey_ok and elapsed < 30
+    ok = ari_ok and ey_ok and elapsed < 30
     report(
         "7 oracle equivalences",
         ok,
-        f"hungarian={'ok' if hung_ok else 'FAIL'} ari={'ok' if ari_ok else 'FAIL'} "
-        f"eckart-young={'ok' if ey_ok else 'FAIL'}, {elapsed:.1f}s",
+        f"ari={'ok' if ari_ok else 'FAIL'} eckart-young={'ok' if ey_ok else 'FAIL'}, "
+        f"{elapsed:.1f}s",
     )
 
 

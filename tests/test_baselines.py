@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from trajseg import baselines as B
 from trajseg import metrics
+from trajseg import numkernel as nk
 from trajseg.errors import DegenerateInputError, InvalidInputError
 from trajseg.scene_synth import SceneConfig, make_scene
 
@@ -154,6 +155,25 @@ class TestLrr:
         norms = np.linalg.norm(out.noise, axis=0)
         assert norms.argmax() == 4
         assert norms[4] > 3 * np.delete(norms, 4).max()
+
+    def test_thresholding_ignores_singular_vector_signs(self, monkeypatch):
+        # LAPACK's sign for each pair of singular vectors is arbitrary;
+        # thresholding multiplies u and v.T back together, so negating
+        # matching columns of both must leave every iterate bit for bit
+        rng = np.random.default_rng(5)
+        data, _ = union_of_subspaces(rng, 20, [3, 3], [15, 15], noise=0.01)
+        ref = B.lrr(data, lam=0.5)
+        exact = nk.svd
+
+        def flipped(a):
+            f = exact(a)
+            sign = np.where(np.arange(f.sigma.size) % 3 == 1, -1.0, 1.0)
+            return nk.SvdFactors(u=f.u * sign, sigma=f.sigma, v=f.v * sign)
+
+        monkeypatch.setattr(nk, "svd", flipped)
+        out = B.lrr(data, lam=0.5)
+        assert out.iterations == ref.iterations
+        assert np.array_equal(out.c, ref.c)
 
     @pytest.mark.parametrize("rho", [0.5, 0.0, -1.01])
     def test_shrinking_penalty_rejected(self, rho):

@@ -206,6 +206,10 @@ class TestSegment:
         pytest.param("lrtl", {"step_size": 0}, id="lrtl-step-size-zero"),
         pytest.param("lrtl", {"step_size": -0.05}, id="lrtl-step-size-negative"),
         pytest.param("lrr", {"rho": 0.5, "max_iter": 300}, id="lrr-rho-below-one"),
+        # the scene's track matrix has 2T = 16 rows
+        pytest.param("lrtl", {"r": 17}, id="lrtl-tail-r-beyond-matrix"),
+        pytest.param("lrtl", {"r": 16, "loss": "reconstruction"},
+                     id="lrtl-reconstruction-r-at-matrix"),
     ])
     def test_out_of_range_value_exit_3(self, scene_dir, tmp_path, capsys, method, config):
         cfg = tmp_path / "p.json"
@@ -275,6 +279,16 @@ class TestSweep:
                          "--out", str(out), "--seed", "9"]) == 0
             blobs.append((out / "sweep.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_unknown_assertion_rejected_before_the_sweep(self, scene_dir, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"assertions": ["eta_monotone", "min_at_trut"]}))
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--scene", str(scene_dir), "--config", str(cfg),
+                   "--out", str(out), "--seed", "0"])
+        assert rc == 3
+        assert "min_at_trut" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, scene_dir, tmp_path, capsys):
         target = tmp_path / "blocked"
@@ -348,6 +362,8 @@ ERROR_CASES = [
     pytest.param("sweep", {"trials": 0}, 3, id="sweep-trials-zero"),
     pytest.param("sweep", {"trials": -1}, 3, id="sweep-trials-negative"),
     pytest.param("sweep", {"taus": ["1"]}, 3, id="sweep-taus-strings"),
+    pytest.param("sweep", {"r": 17}, 3, id="sweep-tail-r-beyond-matrix"),
+    pytest.param("segment", {"export_coefficients": "false"}, 3, id="export-flag-string"),
     pytest.param("gradcheck", {"step": True}, 3, id="gradcheck-step-bool"),
 ]
 

