@@ -26,6 +26,7 @@ __all__ = [
     "spectral_cluster",
 ]
 
+KMEANS_RESTARTS = 10  # k-means++ seeded Lloyd runs, best kept
 KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
 SSC_TOL = 1e-4  # max-norm change of the SSC coefficients that stops ADMM
 LRR_TOL = 1e-7  # max-norm constraint residual that stops LRR
@@ -111,8 +112,9 @@ def _lloyd(data, centers):
     return labels, wcss
 
 
-def kmeans(data, k, restarts=10, seed=0):
-    """Lloyd iterations with k-means++ seeding, best of ``restarts`` runs.
+def kmeans(data, k, seed=0):
+    """Lloyd iterations with k-means++ seeding, best of ``KMEANS_RESTARTS``
+    runs.
 
     Runs are scored by within-cluster sum of squares; each restart draws
     from a stream derived deterministically from (seed, restart index).
@@ -123,7 +125,7 @@ def kmeans(data, k, restarts=10, seed=0):
         raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
     best_labels = None
     best_wcss = np.inf
-    for restart in range(max(restarts, 1)):
+    for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, restart])
         centers = _kmeanspp_init(data, k, rng)
         labels, wcss = _lloyd(data, centers.copy())
@@ -315,7 +317,7 @@ def spectral_cluster(aff, k, seed=0):
 
     Builds L = I - Deg^{-1/2} W Deg^{-1/2} (isolated rows get unit
     self-degree), embeds each point in the k eigenvectors of smallest
-    eigenvalue, row-normalises, and clusters with k-means (10 restarts).
+    eigenvalue, row-normalises, and clusters with ``kmeans``.
     """
     w = aff.w if isinstance(aff, AffinityMatrix) else AffinityMatrix(w=aff).w
     n = w.shape[0]
@@ -330,4 +332,4 @@ def spectral_cluster(aff, k, seed=0):
     embed = vecs[:, :k]
     norms = np.linalg.norm(embed, axis=1, keepdims=True)
     embed = embed / np.maximum(norms, 1e-300)
-    return kmeans(embed, k, restarts=10, seed=seed)
+    return kmeans(embed, k, seed=seed)

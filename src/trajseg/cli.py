@@ -19,15 +19,16 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, feasibility, losses, metrics
 from .errors import DivergenceError, TrajsegError
-from .optimizer import OptimConfig, segment_tracks
+from .optimizer import LOSS_KINDS, OptimConfig, segment_tracks
 from .scene_io import atomic_write_text, load_scene, load_tracks, save_scene
-from .scene_synth import SceneConfig, make_scene, window
+from .scene_synth import MODES, SceneConfig, make_scene, window
 
 __all__ = ["main"]
 
@@ -44,7 +45,9 @@ class ConfigError(Exception):
 
 def _load_config(path, defaults, allowed=None):
     """Config from JSON over ``defaults``; keys outside ``allowed`` (by
-    default the keys of ``defaults``) are rejected."""
+    default the keys of ``defaults``) are rejected.  Every value read is
+    checked, and every value returned converted, by its ``VALUE_TYPES``
+    entry."""
     allowed = defaults if allowed is None else allowed
     if path is None:
         data = {}
@@ -60,12 +63,11 @@ def _load_config(path, defaults, allowed=None):
     for key, value in data.items():
         if key not in allowed:
             raise ConfigError(f"unknown config key {key!r}")
-        check, expected = VALUE_TYPES.get(key, (None, None))
-        if check is not None and not check(value):
+        check, expected, _ = VALUE_TYPES[key]
+        if not check(value):
             raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
-    merged = dict(defaults)
-    merged.update(data)
-    return merged
+    merged = dict(defaults, **data)
+    return {key: VALUE_TYPES[key][2](value) for key, value in merged.items()}
 
 
 def _is_real(value):
@@ -91,17 +93,29 @@ def _list_of(check, size=None):
     return check_list
 
 
-_INT = (_is_int, "an integer")
-_REAL = (_is_real, "a finite number")
-_INT_OR_NULL = (lambda v: v is None or _is_int(v), "an integer or null")
-_REAL_OR_NULL = (lambda v: v is None or _is_real(v), "a finite number or null")
-_INT_PAIR = (_list_of(_is_int, 2), "a list of two integers")
-_INTS = (_list_of(_is_int), "a list of integers")
-_REALS = (_list_of(_is_real), "a list of finite numbers")
+def _same(value):
+    return value
 
-# type of every config key but the loss and scene mode names, checked
-# before any command uses it
+
+def _one_of(names):
+    return (lambda v: isinstance(v, str) and v in names, f"one of {list(names)}", _same)
+
+
+# (check, expected, conversion): integers become ints, integer pairs tuples;
+# reals, names and booleans pass through, so outputs echo them as written
+_INT = (_is_int, "an integer", int)
+_REAL = (_is_real, "a finite number", _same)
+_INT_OR_NULL = (lambda v: v is None or _is_int(v), "an integer or null",
+                lambda v: None if v is None else int(v))
+_REAL_OR_NULL = (lambda v: v is None or _is_real(v), "a finite number or null", _same)
+_INT_PAIR = (_list_of(_is_int, 2), "a list of two integers", lambda v: tuple(map(int, v)))
+_INTS = (_list_of(_is_int), "a list of integers", lambda v: [int(x) for x in v])
+_REALS = (_list_of(_is_real), "a list of finite numbers", _same)
+
+# every config key of every command, checked and converted before any
+# command uses it
 VALUE_TYPES = {
+    "mode": _one_of(MODES),
     "num_objects": _INT,
     "frames": _INT,
     "grid": _INT_PAIR,
@@ -117,9 +131,11 @@ VALUE_TYPES = {
     "target_segments": (
         lambda v: v in (None, "auto") or _is_int(v),
         'an integer, "auto" or null',
+        lambda v: None if v in (None, "auto") else int(v),
     ),
     "r": _INT,
     "step_size": _REAL,
+    "loss": _one_of(LOSS_KINDS),
     "k_range": _INT_PAIR,
     "alpha": _REAL,
     "lam": _REAL,
@@ -135,35 +151,20 @@ VALUE_TYPES = {
     "tracks": _INT,
     "segments": _INT,
     "step": _REAL,
-    "export_coefficients": (lambda v: isinstance(v, bool), "true or false"),
+    "export_coefficients": (lambda v: isinstance(v, bool), "true or false", _same),
     "assertions": (
         _list_of(lambda v: v in feasibility.ASSERTIONS),
         f"a list of names from {list(feasibility.ASSERTIONS)}",
+        _same,
     ),
 }
 
-SYNTH_KEYS = {
-    "mode",
-    "num_objects",
-    "frames",
-    "grid",
-    "points_per_object",
-    "noise_sigma",
-    "camera_motion",
-    "depth_motion",
-    "stride",
-    "bg_balance",
-}
+SYNTH_KEYS = {f.name for f in fields(SceneConfig)} - {"motion_seed"}
 
 
 def cmd_synth(args) -> int:
     config = _load_config(args.config, {}, SYNTH_KEYS)
-    if "grid" in config:
-        config["grid"] = tuple(config["grid"])
-    try:
-        cfg = SceneConfig(motion_seed=args.seed, **config)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = SceneConfig(motion_seed=args.seed, **config)
     scene = make_scene(cfg)
     save_scene(scene, args.out)
     summary = (
@@ -187,104 +188,96 @@ def _center_visible(tracks):
 
 
 def _segment_lrtl(tracks, config, seed):
-    cfg = OptimConfig(
-        k=int(config["over_segments"]),
-        steps=int(config["steps"]),
-        r=int(config["r"]),
-        step_size=float(config["step_size"]),
-        seed=seed,
-        loss_kind=config["loss"],
-    )
-    target = config["target_segments"]
-    labels, info = segment_tracks(
-        tracks,
-        cfg,
-        restarts=int(config["restarts"]),
-        target_segments=None if target in (None, "auto") else int(target),
-    )
+    cfg = OptimConfig(k=config["over_segments"], steps=config["steps"], r=config["r"],
+                      step_size=config["step_size"], seed=seed, loss_kind=config["loss"])
+    labels, info = segment_tracks(tracks, cfg, restarts=config["restarts"],
+                                  target_segments=config["target_segments"])
     return labels, {"final_loss": info["final_loss"], "restart_losses": info["restart_losses"]}
 
 
-def _segment_baseline(tracks, truth, keep, method, config, seed, out):
+def _segment_baseline(tracks, truth, method, config, seed):
+    """Baseline labels, run record and ``coefficients.csv`` text (None
+    unless exported).  With the truth, every k of ``k_range`` that fits is
+    clustered and the best by ARI kept; without it, only the smallest."""
     lo, hi = config["k_range"]
-    ks = list(range(int(lo), int(hi) + 1))
+    ks = list(range(lo, hi + 1))
+    fits = [k for k in ks if k <= tracks.shape[1]]
+    if not fits:
+        raise ConfigError(f"no k in {ks} fits the {tracks.shape[1]} usable tracks")
+    if truth is None:
+        fits = fits[:1]
     solver = {}
+    coefficients = None
     if method == "kmeans":
         frames = tracks.shape[0] // 2
         data = (tracks - np.tile(tracks[0:2], (frames, 1))).T
-        candidates = {
-            k: baselines.kmeans(data, k, restarts=10, seed=seed)
-            for k in ks
-            if k <= len(keep)
-        }
+        candidates = {k: baselines.kmeans(data, k, seed=seed) for k in fits}
     else:
         if method == "ssc":
-            coeff = baselines.ssc_admm(tracks, alpha=float(config["alpha"]))
+            coeff = baselines.ssc_admm(tracks, alpha=config["alpha"])
         else:
             coeff = baselines.lrr(
-                tracks,
-                lam=float(config["lam"]),
-                rho=float(config["rho"]),
-                max_iter=int(config["max_iter"]),
+                tracks, lam=config["lam"], rho=config["rho"], max_iter=config["max_iter"]
             )
         if config["export_coefficients"]:
-            text = "\n".join(
+            coefficients = "\n".join(
                 ",".join(f"{v:.9g}" for v in row) for row in coeff.c
             ) + "\n"
-            atomic_write_text(Path(out) / "coefficients.csv", text)
         aff = baselines.affinity(coeff)
-        candidates = {
-            k: baselines.spectral_cluster(aff, k, seed=seed) for k in ks if k <= len(keep)
-        }
+        candidates = {k: baselines.spectral_cluster(aff, k, seed=seed) for k in fits}
         solver = {"iterations": coeff.iterations, "primal_residual": coeff.primal_residual,
                   "converged": coeff.converged}
-    if not candidates:
-        raise ConfigError(f"no k in {ks} fits the {len(keep)} usable tracks")
     if truth is None:
-        k = min(candidates)
-        return candidates[k], dict(solver, k_selected=k, oracle=False)
-    best_k = max(candidates, key=lambda k: (metrics.ari(candidates[k], truth), -k))
-    return candidates[best_k], dict(solver, k_selected=int(best_k), oracle=True)
+        best_k = fits[0]
+    else:
+        best_k = max(candidates, key=lambda k: (metrics.ari(candidates[k], truth), -k))
+    run_info = dict(solver, k_selected=best_k, oracle=truth is not None)
+    return candidates[best_k], run_info, coefficients
+
+
+SEGMENT_DEFAULTS = {
+    "steps": 1200,
+    "restarts": 3,
+    "over_segments": 10,
+    "target_segments": "auto",
+    "r": losses.DEFAULT_RANK,
+    "step_size": 0.05,
+    "loss": "tail",
+    "k_range": [2, 8],
+    "alpha": 100.0,
+    "lam": 0.2,
+    "rho": 1.01,
+    "max_iter": 10_000,
+    "export_coefficients": False,
+    "window_center": None,
+    "window_half_width": None,
+}
 
 
 def cmd_segment(args) -> int:
-    defaults = {
-        "steps": 1200,
-        "restarts": 3,
-        "over_segments": 10,
-        "target_segments": "auto",
-        "r": losses.DEFAULT_RANK,
-        "step_size": 0.05,
-        "loss": "tail",
-        "k_range": [2, 8],
-        "alpha": 100.0,
-        "lam": 0.2,
-        "rho": 1.01,
-        "max_iter": 10_000,
-        "export_coefficients": False,
-        "window_center": None,
-        "window_half_width": None,
-    }
-    config = _load_config(args.config, defaults)
+    config = _load_config(args.config, SEGMENT_DEFAULTS)
     scene_tracks = load_tracks(args.scene)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if config["window_center"] is not None:
-        half = config["window_half_width"]
-        half = 5 if half is None else int(half)
-        win = window(scene_tracks, int(config["window_center"]), half)
+        half = 5 if config["window_half_width"] is None else config["window_half_width"]
+        win = window(scene_tracks, config["window_center"], half)
         keep = np.flatnonzero(win.visible[half])
         tracks = win.positions[:, keep]
     else:
         keep = _center_visible(scene_tracks)
         tracks = scene_tracks.positions[:, keep]
     truth = scene_tracks.labels[keep] if scene_tracks.labels is not None else None
+    coefficients = None
     if args.method == "lrtl":
         labels, run_info = _segment_lrtl(tracks, config, args.seed)
     else:
-        labels, run_info = _segment_baseline(
-            tracks, truth, keep, args.method, config, args.seed, out
+        labels, run_info, coefficients = _segment_baseline(
+            tracks, truth, args.method, config, args.seed
         )
+    # the directory appears only once the run has succeeded
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if coefficients is not None:
+        atomic_write_text(out / "coefficients.csv", coefficients)
     full = np.full(scene_tracks.n_tracks, -1, dtype=int)
     full[keep] = labels
     lines = ["track_id,label"] + [f"{n},{full[n]}" for n in range(full.size)]
@@ -312,28 +305,15 @@ def cmd_segment(args) -> int:
     return EXIT_OK
 
 
+# the grid, trials, loss and rank default to ``feasibility.sweep``'s
+SWEEP_KEYS = {"etas", "ss", "taus", "trials", "loss", "r", "assertions"}
+
+
 def cmd_sweep(args) -> int:
-    defaults = {
-        "etas": [0.0, 0.25, 0.5, 0.75, 1.0],
-        "ss": [-4, -3, -2, -1, 0, 1, 2, 3, 4],
-        "taus": [1.0, 2.0, 4.0, 8.0],
-        "trials": 25,
-        "loss": "tail",
-        "r": losses.DEFAULT_RANK,
-        "assertions": feasibility.ASSERTIONS,
-    }
-    config = _load_config(args.config, defaults)
+    config = _load_config(args.config, {"assertions": feasibility.ASSERTIONS}, SWEEP_KEYS)
+    assertions = config.pop("assertions")
     scene = load_scene(args.scene)
-    result = feasibility.sweep(
-        scene,
-        etas=config["etas"],
-        ss=config["ss"],
-        taus=config["taus"],
-        loss=config["loss"],
-        trials=int(config["trials"]),
-        seed=args.seed,
-        r=int(config["r"]),
-    )
+    result = feasibility.sweep(scene, seed=args.seed, **config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "sweep.csv", result.to_csv_text())
@@ -352,7 +332,7 @@ def cmd_sweep(args) -> int:
     }
     atomic_write_text(out / "sweep_meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
     failures = []
-    for name, ok, detail in feasibility.check_assertions(result, config["assertions"]):
+    for name, ok, detail in feasibility.check_assertions(result, assertions):
         print(f"sweep assertion {name}: {'PASS' if ok else 'FAIL'} ({detail})")
         if not ok:
             failures.append(name)
@@ -374,27 +354,29 @@ def _fd_gradient(fun, x, step):
     return grad
 
 
+GRADCHECK_DEFAULTS = {
+    "instances": 10,
+    "frames": 6,
+    "tracks": 25,
+    "segments": 3,
+    "grid": [12, 12],
+    "step": 1e-5,
+}
+
+
 def cmd_gradcheck(args) -> int:
-    defaults = {
-        "instances": 10,
-        "frames": 6,
-        "tracks": 25,
-        "segments": 3,
-        "grid": [12, 12],
-        "step": 1e-5,
-    }
-    config = _load_config(args.config, defaults)
-    frames = int(config["frames"])
-    n = int(config["tracks"])
-    k = int(config["segments"])
-    h, w = (int(v) for v in config["grid"])
-    step = float(config["step"])
+    config = _load_config(args.config, GRADCHECK_DEFAULTS)
+    frames = config["frames"]
+    n = config["tracks"]
+    k = config["segments"]
+    h, w = config["grid"]
+    step = config["step"]
     report = {}
     for name in ("tail", "flow"):
         max_err = 0.0
         skipped = 0
         checked = 0
-        for i in range(-1 if name == "tail" else 0, int(config["instances"])):
+        for i in range(-1 if name == "tail" else 0, config["instances"]):
             rng = np.random.default_rng([args.seed, 0 if name == "tail" else 1, i + 1])
             if name == "tail":
                 if i < 0:

@@ -80,13 +80,13 @@ def corrupt_noise(masks, eta, seed=0, num_classes=None):
     return masks
 
 
-def corrupt_structural(masks, s, seed=0, diagnostics=None):
+def corrupt_structural(masks, s, seed=0):
     """Merge objects into the background (s < 0) or split them (s > 0).
 
     Splits cut along a random x- or y-parallel axis through the object's
     per-frame centroid, giving one side a fresh label; an axis that leaves
     one side empty is redrawn up to 8 times, after which the object is
-    skipped (recorded in ``diagnostics['skipped_splits']``).
+    left unchanged.
     """
     masks = _check_masks(masks)
     objects = sorted(set(np.unique(masks)) - {0})
@@ -94,8 +94,6 @@ def corrupt_structural(masks, s, seed=0, diagnostics=None):
         raise InvalidInputError(
             f"|s|={abs(int(s))} exceeds the {len(objects)} available objects"
         )
-    if diagnostics is not None:
-        diagnostics.setdefault("skipped_splits", 0)
     if s == 0 or not objects:
         return masks
     rng = np.random.default_rng(seed)
@@ -107,7 +105,6 @@ def corrupt_structural(masks, s, seed=0, diagnostics=None):
         return masks
     next_label = int(masks.max()) + 1
     for label in chosen:
-        done = False
         for _ in range(8):
             axis = int(rng.integers(2))  # 0: split on y, 1: split on x
             sel = masks == label
@@ -124,10 +121,7 @@ def corrupt_structural(masks, s, seed=0, diagnostics=None):
                 continue  # degenerate axis, redraw
             masks[ts[split_side], ys[split_side], xs[split_side]] = next_label
             next_label += 1
-            done = True
             break
-        if not done and diagnostics is not None:
-            diagnostics["skipped_splits"] += 1
     return masks
 
 
@@ -165,14 +159,15 @@ def apply_corruption(masks, spec: CorruptionSpec, num_classes=None) -> L.SoftAss
     return corrupt_temperature(grids[0], spec.tau, num_classes=num_classes)
 
 
-def point_assignment(soft_masks: L.SoftAssignment, scene: SceneTruth, frame=0):
-    """Read a pixel-mode assignment at the trajectory positions of a frame.
+def point_assignment(soft_masks: L.SoftAssignment, scene: SceneTruth):
+    """Read a first-frame pixel-mode assignment at the trajectory positions
+    of that frame.
 
-    Positions snap to the nearest pixel; at the sampling frame every
-    grid-sampled track sits exactly on a pixel center.
+    Positions snap to the nearest pixel; at the first frame, where tracks
+    are sampled, every grid-sampled track sits exactly on a pixel center.
     """
     h, w = soft_masks.grid
-    pos = scene.tracks.frame_positions(frame)
+    pos = scene.tracks.frame_positions(0)
     px = np.clip(np.rint(pos[:, 0] * w).astype(int), 0, w - 1)
     py = np.clip(np.rint(pos[:, 1] * h).astype(int), 0, h - 1)
     return L.SoftAssignment(
@@ -261,7 +256,7 @@ def sweep(
                 seed=int(cell_rng.integers(2**62)),
             )
             soft = apply_corruption(frame0, spec, num_classes=num_classes)
-            assignment = point_assignment(soft, scene, frame=0)
+            assignment = point_assignment(soft, scene)
             values[trial] = loss_fn(assignment, tracks, r)
         mean = float(values.mean())
         result.rows.append(

@@ -35,27 +35,28 @@ BETA2 = 0.999
 EPS = 1e-8
 INIT_STD = 0.01
 
+GREEDY_SWEEPS = 6  # cap on the single-track move sweeps of one greedy pass
+
 
 @dataclass(frozen=True)
 class OptimConfig:
     """Settings for one optimization run.
 
-    ``k`` is the number of soft components.  ``loss_kind`` picks the
-    trajectory loss that the run minimises, in the soft phase and in the
-    discrete refinement alike.  ``early_stop`` ends the run once the
-    relative loss change over 100 steps falls below 1e-7 (the trace's
-    convergence flag uses the same rule either way).  The moment decays
+    ``k`` is the number of soft components and ``steps`` the cap on the
+    soft phase, which ends early once the relative loss change over 100
+    steps falls below 1e-7 (the trace's convergence flag).  ``loss_kind``
+    picks the trajectory loss that the run minimises, in the soft phase
+    and in the discrete refinement alike.  The moment decays
     (``BETA1``, ``BETA2``), the denominator floor ``EPS`` and the spread
     ``INIT_STD`` of the initial logits are module constants.
     """
 
-    k: int = 25
-    steps: int = 5000
+    k: int
+    steps: int
     r: int = L.DEFAULT_RANK
     step_size: float = 0.05
     seed: int = 0
     loss_kind: str = "tail"
-    early_stop: bool = True
 
     def __post_init__(self):
         if self.k < 2:
@@ -94,7 +95,7 @@ def _traj_term(cfg, logits, tracks):
     return L.tracks_as_flow_value_and_grad(logits, tracks)
 
 
-def optimize_sequence(tracks, cfg: OptimConfig | None = None):
+def optimize_sequence(tracks, cfg: OptimConfig):
     """Optimize per-track logits; returns (assignment, trace).
 
     ``tracks`` is a (2T, N) matrix of normalised positions; callers are
@@ -102,7 +103,6 @@ def optimize_sequence(tracks, cfg: OptimConfig | None = None):
     reference frame.  Deterministic for a fixed config.  A non-finite loss
     aborts with the trace so far attached to the raised error.
     """
-    cfg = cfg if cfg is not None else OptimConfig()
     positions = np.asarray(tracks, dtype=float)
     n = positions.shape[1]
     if n < cfg.k:
@@ -129,11 +129,10 @@ def optimize_sequence(tracks, cfg: OptimConfig | None = None):
             past = losses[step - 100]
             if abs(losses[step] - past) <= 1e-7 * max(abs(past), 1e-30):
                 converged = True
-                if cfg.early_stop:
-                    break
+                break
     trace = OptimTrace(
         losses=losses[:step + 1],
-        converged=converged and not diverged,
+        converged=converged,
         steps_run=step + 1,
     )
     if diverged:
@@ -170,16 +169,16 @@ def hard_loss(tracks, labels, kind="tail", r=L.DEFAULT_RANK) -> float:
     )
 
 
-def greedy_reassign(tracks, labels, kind="tail", r=L.DEFAULT_RANK, sweeps=6,
-                    candidates=None):
-    """Move single tracks between segments while the loss drops.
+def greedy_reassign(tracks, labels, kind="tail", r=L.DEFAULT_RANK, candidates=None):
+    """Move single tracks between segments while the loss drops, for at
+    most ``GREEDY_SWEEPS`` sweeps.
 
     ``candidates`` optionally maps each track to the segment ids worth
     trying (used to keep early sweeps with many segments affordable).
     """
     tracks = np.asarray(tracks, dtype=float)
     labels = np.asarray(labels).copy()
-    for _ in range(sweeps):
+    for _ in range(GREEDY_SWEEPS):
         ids = list(np.unique(labels))
         score = {i: L.hard_group_loss(tracks[:, labels == i], kind, r) for i in ids}
         changed = 0
@@ -241,7 +240,7 @@ def merge_segments(tracks, labels, kind="tail", r=L.DEFAULT_RANK, target=None):
 
 def segment_tracks(
     tracks,
-    cfg: OptimConfig | None = None,
+    cfg: OptimConfig,
     *,
     restarts: int = 3,
     target_segments: int | None = None,
@@ -259,7 +258,6 @@ def segment_tracks(
 
     Returns (labels, info dict with per-restart losses and the winner).
     """
-    cfg = cfg if cfg is not None else OptimConfig()
     if restarts < 1:
         raise InvalidInputError(f"restarts must be at least 1, got {restarts}")
     if target_segments is not None and target_segments < 1:
@@ -283,18 +281,11 @@ def segment_tracks(
         runs.append((loss, restart, labels))
     best_loss, best_restart, best_labels = min(runs, key=lambda t: (t[0], t[1]))
     # compact ids deterministically by first appearance
-    first_seen = {}
-    remap = np.empty_like(best_labels)
-    next_id = 0
-    for i, lab in enumerate(best_labels):
-        if lab not in first_seen:
-            first_seen[lab] = next_id
-            next_id += 1
-        remap[i] = first_seen[lab]
+    _, first, inverse = np.unique(best_labels, return_index=True, return_inverse=True)
     info = {
         "restart_losses": [r[0] for r in sorted(runs, key=lambda t: t[1])],
         "chosen_restart": best_restart,
         "final_loss": best_loss,
-        "n_segments": int(next_id),
+        "n_segments": first.size,
     }
-    return remap, info
+    return np.argsort(np.argsort(first))[inverse], info

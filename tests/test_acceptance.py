@@ -179,7 +179,7 @@ def test_criterion_3_comparison(noisy_suite, lrtl_tail_aris):
         offsets = (tracks - np.tile(tracks[0:2], (scene.config.frames, 1))).T
         baseline_aris["kmeans"].append(
             max(
-                metrics.ari(baselines.kmeans(offsets, k, restarts=10, seed=0), truth)
+                metrics.ari(baselines.kmeans(offsets, k, seed=0), truth)
                 for k in ks
             )
         )

@@ -34,7 +34,7 @@ class TestKmeans:
         b = rng.normal(5.0, 0.1, (20, 2))
         data = np.vstack([a, b])
         truth = np.array([0] * 20 + [1] * 20)
-        labels = B.kmeans(data, 2, restarts=5, seed=1)
+        labels = B.kmeans(data, 2, seed=1)
         assert metrics.ari(labels, truth) == 1.0
 
     def test_k_equals_one(self):
@@ -46,7 +46,7 @@ class TestKmeans:
         # and its within-cluster sum of squares is 2 + 2 = 4 (oracle:
         # enumerate all 2-partitions by hand)
         data = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
-        labels = B.kmeans(data, 2, restarts=5, seed=3)
+        labels = B.kmeans(data, 2, seed=3)
         assert set(map(tuple, [sorted(np.flatnonzero(labels == j)) for j in range(2)])) == {
             (0, 1, 2),
             (3, 4, 5),
@@ -61,8 +61,8 @@ class TestKmeans:
 
     def test_deterministic(self):
         data = np.random.default_rng(5).random((30, 4))
-        a = B.kmeans(data, 3, restarts=4, seed=9)
-        b = B.kmeans(data, 3, restarts=4, seed=9)
+        a = B.kmeans(data, 3, seed=9)
+        b = B.kmeans(data, 3, seed=9)
         assert np.array_equal(a, b)
 
     def test_lloyd_objective_never_increases(self):

@@ -10,7 +10,8 @@ import pytest
 
 import trajseg
 from trajseg import baselines, losses
-from trajseg.cli import main
+from trajseg.cli import (GRADCHECK_DEFAULTS, SEGMENT_DEFAULTS, SWEEP_KEYS, SYNTH_KEYS,
+                         VALUE_TYPES, main)
 from trajseg.errors import DivergenceError
 from trajseg.optimizer import hard_loss
 from trajseg.scene_io import load_scene, load_tracks
@@ -68,6 +69,25 @@ class TestSynth:
         rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s"), "--seed", "0"])
         assert rc == 3
         assert "moed" in capsys.readouterr().err
+
+    def test_integral_floats_run_as_integers(self, tmp_path):
+        configs = {"int": {"num_objects": 2, "frames": 8, "grid": [32, 32]},
+                   "float": {"num_objects": 2.0, "frames": 8.0, "grid": [32.0, 32]}}
+        for name, config in configs.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / name),
+                         "--seed", "2"]) == 0
+        names = sorted(p.name for p in (tmp_path / "int").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "float").iterdir())
+        for name in names:
+            assert (tmp_path / "int" / name).read_bytes() == (
+                tmp_path / "float" / name).read_bytes()
+
+
+def test_every_command_key_has_a_value_type():
+    keys = SYNTH_KEYS | SWEEP_KEYS | set(SEGMENT_DEFAULTS) | set(GRADCHECK_DEFAULTS)
+    assert keys - set(VALUE_TYPES) == set()
 
 
 class TestSegment:
@@ -220,6 +240,7 @@ class TestSegment:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert next(iter(config)) in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method,config", [
         ("kmeans", {}),
@@ -252,6 +273,44 @@ class TestSegment:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         assert "constraint residual grew" in err and "2.25" in err
+        assert not (tmp_path / "lrr").exists()
+
+    @pytest.mark.parametrize("method", ["kmeans", "ssc"])
+    def test_baseline_without_truth_clusters_smallest_k(self, scene_dir, tmp_path, monkeypatch,
+                                                        method):
+        bare = tmp_path / "unlabeled"
+        shutil.copytree(scene_dir, bare)
+        table = bare / "trajectories.csv"
+        lines = table.read_text().splitlines()
+        table.write_text("\n".join(
+            [lines[0]] + [line.rsplit(",", 1)[0] + ",-1" for line in lines[1:]]) + "\n")
+        tracks = load_tracks(scene_dir)
+        keep = np.flatnonzero(tracks.visible_at(tracks.frames // 2))
+        used = tracks.positions[:, keep]
+        if method == "kmeans":
+            offsets = (used - np.tile(used[0:2], (tracks.frames, 1))).T
+            expect = baselines.kmeans(offsets, 2, seed=1)
+        else:
+            aff = baselines.affinity(baselines.ssc_admm(used))
+            expect = baselines.spectral_cluster(aff, 2, seed=1)
+        clusterer = "kmeans" if method == "kmeans" else "spectral_cluster"
+        calls = []
+        original = getattr(baselines, clusterer)
+
+        def counted(data, k, **kwargs):
+            calls.append(k)
+            return original(data, k, **kwargs)
+
+        monkeypatch.setattr(baselines, clusterer, counted)
+        out = tmp_path / "out"
+        assert main(["segment", "--scene", str(bare), "--method", method,
+                     "--out", str(out), "--seed", "1"]) == 0
+        assert calls == [2]
+        run = json.loads((out / "run.json").read_text())
+        assert run["k_selected"] == 2 and run["oracle"] is False
+        assert json.loads((out / "metrics.json").read_text())["ari"] is None
+        labels = np.loadtxt(out / "labels.csv", delimiter=",", skiprows=1, dtype=int)[:, 1]
+        assert np.array_equal(labels[keep], expect)
 
 
 class TestSweep:
@@ -364,6 +423,8 @@ ERROR_CASES = [
     pytest.param("sweep", {"taus": ["1"]}, 3, id="sweep-taus-strings"),
     pytest.param("sweep", {"r": 17}, 3, id="sweep-tail-r-beyond-matrix"),
     pytest.param("segment", {"export_coefficients": "false"}, 3, id="export-flag-string"),
+    pytest.param("segment", {"loss": "bogus"}, 3, id="segment-loss-unknown"),
+    pytest.param("synth", {"mode": "cube"}, 3, id="synth-mode-unknown"),
     pytest.param("gradcheck", {"step": True}, 3, id="gradcheck-step-bool"),
 ]
 

@@ -52,7 +52,7 @@ class TestHardLabels:
 
 class TestOptimizeSequence:
     def test_deterministic_traces(self, noisy_scene):
-        cfg = OptimConfig(k=4, steps=120, seed=9, early_stop=False)
+        cfg = OptimConfig(k=4, steps=120, seed=9)
         a1, t1 = optimize_sequence(noisy_scene.tracks.positions, cfg=cfg)
         a2, t2 = optimize_sequence(noisy_scene.tracks.positions, cfg=cfg)
         assert np.array_equal(t1.losses, t2.losses)
@@ -117,7 +117,7 @@ class TestOptimizeSequence:
         assert np.abs(grad[:, 1:]).max() == 0.0
 
     def test_trace_columns(self, noisy_scene):
-        cfg = OptimConfig(k=4, steps=5, seed=0, early_stop=False)
+        cfg = OptimConfig(k=4, steps=5, seed=0)
         _, trace = optimize_sequence(noisy_scene.tracks.positions, cfg=cfg)
         text = trace.to_csv_text()
         assert text.splitlines()[0] == "step,loss"
@@ -130,7 +130,7 @@ class TestOptimizeSequence:
             SceneConfig(mode="rigid3d_affine", num_objects=2, frames=10,
                         grid=(96, 96), motion_seed=4, points_per_object=30)
         )
-        cfg = OptimConfig(k=4, steps=1200, seed=2, early_stop=False)
+        cfg = OptimConfig(k=4, steps=1200, seed=2)
         _, trace = optimize_sequence(scene.tracks.positions, cfg=cfg)
         losses = trace.losses
         window = np.convolve(losses, np.ones(100) / 100, mode="valid")
@@ -145,7 +145,7 @@ class TestRefinement:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 3, p.shape[1])
         before = hard_loss(p, labels)
-        after_labels = greedy_reassign(p, labels, sweeps=2)
+        after_labels = greedy_reassign(p, labels)
         assert hard_loss(p, after_labels) <= before + 1e-9
 
     def test_merge_segments_target(self, noisy_scene):
