@@ -10,7 +10,9 @@ directory (``InvalidInputError``); 4 a diverged solver
 (``DivergenceError``), reported with the last residual it recorded, if
 any.  The ``run.json`` of an ssc or lrr run records the solver's
 ``iterations``, ``primal_residual`` and whether it ``converged`` or
-stopped at its iteration cap.
+stopped at its iteration cap; that of an lrtl run records, per restart,
+the ``soft_steps`` of its gradient phase and its ``soft_stop``:
+``"labels"`` when the labels held, ``"cap"`` at ``steps``.
 """
 
 from __future__ import annotations
@@ -71,11 +73,12 @@ def _load_config(path, defaults, allowed=None):
 
 
 def _is_real(value):
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _is_int(value):
@@ -192,7 +195,8 @@ def _segment_lrtl(tracks, config, seed):
                       step_size=config["step_size"], seed=seed, loss_kind=config["loss"])
     labels, info = segment_tracks(tracks, cfg, restarts=config["restarts"],
                                   target_segments=config["target_segments"])
-    return labels, {"final_loss": info["final_loss"], "restart_losses": info["restart_losses"]}
+    return labels, {key: info[key] for key in
+                    ("final_loss", "restart_losses", "soft_steps", "soft_stop")}
 
 
 def _segment_baseline(tracks, truth, method, config, seed):
@@ -254,6 +258,14 @@ SEGMENT_DEFAULTS = {
 }
 
 
+def _one_key_per_line(record) -> str:
+    """``record`` as a JSON object with one key per line, in sorted order,
+    and each value on its key's line: the per-restart lists of an lrtl run
+    take a line each, not a line per restart."""
+    lines = (f"  {json.dumps(key)}: {json.dumps(record[key])}" for key in sorted(record))
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def cmd_segment(args) -> int:
     config = _load_config(args.config, SEGMENT_DEFAULTS)
     scene_tracks = load_tracks(args.scene)
@@ -299,7 +311,7 @@ def cmd_segment(args) -> int:
         atomic_write_text(out / "metrics.csv", csv_text)
     run_info.update({"method": args.method, "n_tracks": int(scene_tracks.n_tracks),
                      "n_used": int(keep.size), "seed": args.seed})
-    atomic_write_text(out / "run.json", json.dumps(run_info, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(out / "run.json", _one_key_per_line(run_info))
     ari_text = "n/a" if report["ari"] is None else f"{report['ari']:.4f}"
     print(f"segment method={args.method} n={keep.size} ari={ari_text} -> {args.out}")
     return EXIT_OK

@@ -35,6 +35,11 @@ BETA2 = 0.999
 EPS = 1e-8
 INIT_STD = 0.01
 
+# the soft phase checks its argmax labels every LABEL_CHECK_STEPS steps and
+# ends once LABEL_CHECKS checks in a row found them unchanged
+LABEL_CHECK_STEPS = 100
+LABEL_CHECKS = 4
+
 GREEDY_SWEEPS = 6  # cap on the single-track move sweeps of one greedy pass
 
 
@@ -43,8 +48,10 @@ class OptimConfig:
     """Settings for one optimization run.
 
     ``k`` is the number of soft components and ``steps`` the cap on the
-    soft phase, which ends early once the relative loss change over 100
-    steps falls below 1e-7 (the trace's convergence flag).  ``loss_kind``
+    soft phase.  Every ``LABEL_CHECK_STEPS`` (100) steps the phase takes
+    the argmax label of each track; it ends early once ``LABEL_CHECKS``
+    (4) checks in a row found the labels of the check before, so that they
+    have held for 400 steps (the trace's convergence flag).  ``loss_kind``
     picks the trajectory loss that the run minimises, in the soft phase
     and in the discrete refinement alike.  The moment decays
     (``BETA1``, ``BETA2``), the denominator floor ``EPS`` and the spread
@@ -71,7 +78,8 @@ class OptimConfig:
 
 @dataclass
 class OptimTrace:
-    """Per-step record of one run."""
+    """Per-step record of one run; ``converged`` is true when the label
+    rule, not the ``steps`` cap, ended it."""
 
     losses: np.ndarray
     converged: bool
@@ -114,6 +122,7 @@ def optimize_sequence(tracks, cfg: OptimConfig):
 
     losses = np.zeros(cfg.steps)
     converged = diverged = False
+    checked, unchanged = None, 0
     for step in range(cfg.steps):
         total, grad = _traj_term(cfg, logits, positions)
         losses[step] = total
@@ -125,9 +134,11 @@ def optimize_sequence(tracks, cfg: OptimConfig):
         m_hat = m / (1.0 - BETA1 ** (step + 1))
         v_hat = v / (1.0 - BETA2 ** (step + 1))
         logits = logits - cfg.step_size * m_hat / (np.sqrt(v_hat) + EPS)
-        if step >= 100:
-            past = losses[step - 100]
-            if abs(losses[step] - past) <= 1e-7 * max(abs(past), 1e-30):
+        if (step + 1) % LABEL_CHECK_STEPS == 0:
+            current = logits.argmax(axis=1)
+            unchanged = unchanged + 1 if np.array_equal(current, checked) else 0
+            checked = current
+            if unchanged == LABEL_CHECKS:
                 converged = True
                 break
     trace = OptimTrace(
@@ -175,18 +186,27 @@ def greedy_reassign(tracks, labels, kind="tail", r=L.DEFAULT_RANK, candidates=No
 
     ``candidates`` optionally maps each track to the segment ids worth
     trying (used to keep early sweeps with many segments affordable).
+    Segment scores carry over from sweep to sweep, and a track that did
+    not move is not scored again until a move changes its segment or one
+    of its candidates, since its moves would score as before.
     """
     tracks = np.asarray(tracks, dtype=float)
     labels = np.asarray(labels).copy()
+    score = {i: L.hard_group_loss(tracks[:, labels == i], kind, r) for i in np.unique(labels)}
+    # moves so far; the move count when each segment last changed, and
+    # when each track was last scored without moving (-1: never)
+    moves = 0
+    changed_at = dict.fromkeys(score, 0)
+    kept_at = np.full(tracks.shape[1], -1)
     for _ in range(GREEDY_SWEEPS):
         ids = list(np.unique(labels))
-        score = {i: L.hard_group_loss(tracks[:, labels == i], kind, r) for i in ids}
-        changed = 0
+        score = {i: score[i] for i in ids}  # a segment emptied is no candidate
+        moves_before = moves
         for n in range(tracks.shape[1]):
             cur = labels[n]
             pool = [c for c in (candidates[n] if candidates is not None else ids)
                     if c != cur and c in score]
-            if not pool:
+            if not pool or max(changed_at[c] for c in (cur, *pool)) <= kept_at[n]:
                 continue
             src = labels == cur
             src[n] = False
@@ -203,12 +223,15 @@ def greedy_reassign(tracks, labels, kind="tail", r=L.DEFAULT_RANK, candidates=No
                 )
                 if delta < best_delta:
                     best_delta, best_seg = delta, cand
-            if best_seg != cur:
-                labels[n] = best_seg
-                changed += 1
-                score[cur] = L.hard_group_loss(tracks[:, labels == cur], kind, r)
-                score[best_seg] = L.hard_group_loss(tracks[:, labels == best_seg], kind, r)
-        if changed == 0:
+            if best_seg == cur:
+                kept_at[n] = moves
+                continue
+            labels[n] = best_seg
+            moves += 1
+            changed_at[cur] = changed_at[best_seg] = moves
+            score[cur] = L.hard_group_loss(tracks[:, labels == cur], kind, r)
+            score[best_seg] = L.hard_group_loss(tracks[:, labels == best_seg], kind, r)
+        if moves == moves_before:
             break
     return labels
 
@@ -256,7 +279,9 @@ def segment_tracks(
     least 1, and ``cfg.r`` must leave the loss a singular value to score
     (``losses.check_rank``).
 
-    Returns (labels, info dict with per-restart losses and the winner).
+    Returns (labels, info dict with the winner and, per restart, the final
+    loss, the soft steps run and what stopped the soft phase: ``"labels"``
+    for the label rule, ``"cap"`` for ``cfg.steps``).
     """
     if restarts < 1:
         raise InvalidInputError(f"restarts must be at least 1, got {restarts}")
@@ -270,7 +295,7 @@ def segment_tracks(
         sub = replace(
             cfg, seed=int(np.random.default_rng([cfg.seed, restart]).integers(2**31))
         )
-        assignment, _ = optimize_sequence(positions, cfg=sub)
+        assignment, trace = optimize_sequence(positions, cfg=sub)
         labels = hard_labels(assignment)
         order = np.argsort(-assignment.weights, axis=1)
         candidates = [row[:3] for row in order]
@@ -278,12 +303,14 @@ def segment_tracks(
         labels = merge_segments(positions, labels, kind, cfg.r, target=target_segments)
         labels = greedy_reassign(positions, labels, kind, cfg.r)
         loss = hard_loss(positions, labels, kind, cfg.r)
-        runs.append((loss, restart, labels))
-    best_loss, best_restart, best_labels = min(runs, key=lambda t: (t[0], t[1]))
+        runs.append((loss, restart, labels, trace))
+    best_loss, best_restart, best_labels, _ = min(runs, key=lambda t: (t[0], t[1]))
     # compact ids deterministically by first appearance
     _, first, inverse = np.unique(best_labels, return_index=True, return_inverse=True)
     info = {
-        "restart_losses": [r[0] for r in sorted(runs, key=lambda t: t[1])],
+        "restart_losses": [run[0] for run in runs],
+        "soft_steps": [run[3].steps_run for run in runs],
+        "soft_stop": ["labels" if run[3].converged else "cap" for run in runs],
         "chosen_restart": best_restart,
         "final_loss": best_loss,
         "n_segments": first.size,

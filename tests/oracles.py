@@ -283,6 +283,46 @@ def full_space_lrr(data, lam=0.2, rho=1.01, max_iter=10_000, tol=1e-7, mu0=1e-6,
     return c, err, iterations, primal
 
 
+def rescoring_greedy_reassign(tracks, labels, group_score, candidates, sweeps):
+    """Single-track greedy moves that score every segment afresh at the
+    start of each sweep and every track at every sweep.
+
+    ``group_score`` maps a track matrix to its loss, so that the loop takes
+    the package's hard score without calling it itself; ``candidates``
+    (or None for every segment) and ``sweeps`` are as in the package.
+    """
+    tracks = np.asarray(tracks, dtype=float)
+    labels = np.asarray(labels).copy()
+    for _ in range(sweeps):
+        ids = list(np.unique(labels))
+        score = {i: group_score(tracks[:, labels == i]) for i in ids}
+        changed = 0
+        for n in range(tracks.shape[1]):
+            cur = labels[n]
+            pool = [c for c in (candidates[n] if candidates is not None else ids)
+                    if c != cur and c in score]
+            if not pool:
+                continue
+            src = labels == cur
+            src[n] = False
+            src_score = group_score(tracks[:, src])
+            best_delta, best_seg = -1e-12, cur
+            for cand in pool:
+                dst = labels == cand
+                dst[n] = True
+                delta = src_score + group_score(tracks[:, dst]) - score[cur] - score[cand]
+                if delta < best_delta:
+                    best_delta, best_seg = delta, cand
+            if best_seg != cur:
+                labels[n] = best_seg
+                changed += 1
+                score[cur] = group_score(tracks[:, labels == cur])
+                score[best_seg] = group_score(tracks[:, labels == best_seg])
+        if changed == 0:
+            break
+    return labels
+
+
 def temperature_weights(mask, tau, num_classes, scale):
     """One softmax row per pixel of the logits ``scale`` on the pixel's label,
     divided by ``tau``."""

@@ -113,6 +113,29 @@ class TestSegment:
         assert rc == 0
         report = json.loads((out / "metrics.json").read_text())
         assert report["ari"] > 0.8
+        # the label rule cannot end a soft phase of 400 steps
+        text = (out / "run.json").read_text()
+        run = json.loads(text)
+        assert run["soft_steps"] == [400, 400]
+        assert run["soft_stop"] == ["cap", "cap"]
+        # one line per key, lists included, between the braces
+        assert len(text.splitlines()) == len(run) + 2
+
+    def test_lrtl_run_records_each_soft_stop(self, scene_dir, tmp_path):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"restarts": 3, "over_segments": 4, "target_segments": 3}))
+        out = tmp_path / "lrtl"
+        assert main(["segment", "--scene", str(scene_dir), "--method", "lrtl",
+                     "--config", str(cfg), "--out", str(out), "--seed", "2"]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert len(run["soft_steps"]) == len(run["soft_stop"]) == 3
+        assert "labels" in run["soft_stop"]
+        for steps, stop in zip(run["soft_steps"], run["soft_stop"]):
+            # the label rule may fire on the last step, too
+            assert stop in ("labels", "cap") and steps % 100 == 0
+            assert steps <= SEGMENT_DEFAULTS["steps"]
+            if stop == "cap":
+                assert steps == SEGMENT_DEFAULTS["steps"]
 
     def test_tracks_as_flow_reports_its_own_loss(self, scene_dir, tmp_path):
         # the refinement and the choice of restart score the loss that the
@@ -414,6 +437,7 @@ ERROR_CASES = [
     pytest.param("segment", ("trajectories.csv", lambda p: p.unlink()), 2, id="missing-tracks"),
     pytest.param("segment", {"steps": "many"}, 3, id="steps-not-a-number"),
     pytest.param("segment", {"restarts": 2.5}, 3, id="fractional-restarts"),
+    pytest.param("segment", {"steps": 10**400}, 3, id="steps-beyond-float"),
     pytest.param("segment", {"k_range": [2]}, 3, id="k-range-too-short"),
     pytest.param("segment", {"target_segments": "some"}, 3, id="target-not-auto"),
     pytest.param("synth", {"frames": "eight"}, 3, id="synth-frames-string"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from trajseg import losses as L
 from trajseg import metrics
 from trajseg.errors import DivergenceError, InvalidInputError
 from trajseg.optimizer import (
+    GREEDY_SWEEPS,
     OptimConfig,
     greedy_reassign,
     hard_labels,
@@ -14,6 +17,8 @@ from trajseg.optimizer import (
     segment_tracks,
 )
 from trajseg.scene_synth import SceneConfig, make_scene
+
+from oracles import rescoring_greedy_reassign
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +142,88 @@ class TestOptimizeSequence:
         tail = window[500:]
         rises = np.diff(tail) > 1e-6
         assert rises.mean() <= 0.01
+
+
+class TestLabelRule:
+    def test_stop_matches_a_run_capped_there(self, noisy_scene):
+        p = noisy_scene.tracks.positions
+        cfg = OptimConfig(k=4, steps=1200, seed=0)
+        a1, t1 = optimize_sequence(p, cfg=cfg)
+        stop = t1.steps_run
+        assert t1.converged and stop < cfg.steps and stop % 100 == 0
+        a2, t2 = optimize_sequence(p, cfg=replace(cfg, steps=stop))
+        assert t2.converged and t2.steps_run == stop
+        assert np.array_equal(a1.weights, a2.weights)
+        assert np.array_equal(t1.losses, t2.losses)
+        # the labels it stopped on had held for the last 400 steps
+        a3, t3 = optimize_sequence(p, cfg=replace(cfg, steps=stop - 400))
+        assert not t3.converged
+        assert np.array_equal(hard_labels(a1), hard_labels(a3))
+        assert np.array_equal(t1.losses[:stop - 400], t3.losses)
+
+    def test_cap_without_stable_labels(self, noisy_scene):
+        cfg = OptimConfig(k=4, steps=300, seed=0)
+        _, trace = optimize_sequence(noisy_scene.tracks.positions, cfg=cfg)
+        assert trace.steps_run == cfg.steps == trace.losses.size
+        assert not trace.converged
+
+
+def _acceptance_scene(seed):
+    return make_scene(
+        SceneConfig(mode="rigid3d_affine", num_objects=3, frames=16, grid=(256, 256),
+                    motion_seed=seed, noise_sigma=1.0, points_per_object=40)
+    )
+
+
+class TestGreedyAgainstRescoringLoop:
+    @staticmethod
+    def _check(p, labels, candidates=None, kind="tail"):
+        expect = rescoring_greedy_reassign(
+            p, labels, lambda cols: L.hard_group_loss(cols, kind, L.DEFAULT_RANK), candidates,
+            GREEDY_SWEEPS,
+        )
+        got = greedy_reassign(p, labels, kind, candidates=candidates)
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_labels(self, noisy_scene, seed):
+        p = noisy_scene.tracks.positions
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 6, p.shape[1])
+        self._check(p, labels)
+        # candidate lists may name segments that are empty or absent
+        candidates = [rng.choice(8, size=3, replace=False) for _ in range(p.shape[1])]
+        self._check(p, labels, candidates)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_arbitrary_group_score(self, noisy_scene, monkeypatch, seed):
+        # no trajectory loss falls when a track joins a group; an arbitrary
+        # score also moves tracks out of singletons and back
+        p = noisy_scene.tracks.positions
+        monkeypatch.setattr(L, "hard_group_loss",
+                            lambda cols, kind, r: float(np.sin(1e3 * cols.sum())))
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 4, p.shape[1])
+        labels[:4] = [4, 5, 6, 7]
+        candidates = [rng.choice(8, size=3, replace=False) for _ in range(p.shape[1])]
+        self._check(p, labels, candidates)
+        self._check(p, labels)
+
+    def test_reconstruction_loss(self, noisy_scene):
+        p = noisy_scene.tracks.positions
+        labels = np.random.default_rng(7).integers(0, 4, p.shape[1])
+        self._check(p, labels, kind="reconstruction")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_acceptance_scene_after_soft_phase(self, seed):
+        # as in the first pass of segment_tracks: soft labels with their
+        # top-3 candidates; then the same labels with every segment
+        p = _acceptance_scene(seed).tracks.positions
+        assignment, _ = optimize_sequence(p, OptimConfig(k=10, steps=200, seed=seed))
+        labels = hard_labels(assignment)
+        candidates = [row[:3] for row in np.argsort(-assignment.weights, axis=1)]
+        self._check(p, labels, candidates)
+        self._check(p, labels)
 
 
 class TestRefinement:
