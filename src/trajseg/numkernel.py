@@ -1,16 +1,22 @@
 """Dense linear-algebra kernels used by the losses and baselines.
 
-Everything here is a pure function of float64 arrays.  The kernels are
-deliberately small: a compact SVD, a ridge-stabilised least-squares solve
-and a symmetric eigendecomposition.
+The kernels are pure functions of float64 arrays, and deliberately small:
+a compact SVD, a ridge-stabilised least-squares solve and a symmetric
+eigendecomposition.
 The trajectory losses run their own batched decompositions of all groups
 at once in ``losses``; the flow-fit losses hand ``lstsq`` every segment and
 frame pair as one stack, and the baselines use the kernels here.
+``blas_threads`` and ``one_blas_thread`` read and hold the thread count of
+numpy's OpenBLAS, for callers that run kernels on threads of their own.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +27,8 @@ __all__ = [
     "svd",
     "lstsq",
     "sym_eig",
+    "blas_threads",
+    "one_blas_thread",
 ]
 
 
@@ -125,3 +133,40 @@ def sym_eig(s):
         raise InvalidInputError("matrix is not symmetric within 1e-10")
     w, v = np.linalg.eigh(s)
     return w, v
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    ships in ``numpy.libs``, or None where no such library exports them."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def blas_threads():
+    """Threads numpy's OpenBLAS runs on, or None when its count is out of reach."""
+    controls = _openblas()
+    return None if controls is None else controls[0]()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread inside the block and give it back
+    its previous count on the way out, also when the block raises.
+
+    Only call it where ``blas_threads()`` is not None.
+    """
+    get, set_ = _openblas()
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

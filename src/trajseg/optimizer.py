@@ -8,11 +8,15 @@ experiments while keeping the loss machinery identical.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import losses as L
+from . import numkernel as nk
 from .errors import DivergenceError, InvalidInputError
 
 __all__ = [
@@ -261,6 +265,21 @@ def merge_segments(tracks, labels, kind="tail", r=L.DEFAULT_RANK, target=None):
         labels[labels == best[2]] = best[1]
 
 
+def _restart_workers(restarts: int, cores: int, blas_pinned: bool) -> int:
+    """Threads that run the restarts of ``segment_tracks``: one per restart,
+    at most two per usable core, and one (the caller's own thread, restart
+    after restart) unless OpenBLAS can be held to one thread meanwhile."""
+    if not blas_pinned:
+        return 1
+    return max(1, min(restarts, 2 * cores))
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def segment_tracks(
     tracks,
     cfg: OptimConfig,
@@ -279,6 +298,15 @@ def segment_tracks(
     least 1, and ``cfg.r`` must leave the loss a singular value to score
     (``losses.check_rank``).
 
+    The restarts are independent, so they run concurrently, one thread
+    each and at most two per usable core, with numpy's OpenBLAS held to
+    one thread meanwhile (``numkernel.one_blas_thread``); each thread runs
+    in a copy of the caller's ``contextvars`` context, so numpy's
+    ``errstate`` applies there too.  Where OpenBLAS's thread count is out
+    of reach they run one after another in the caller's thread.  Either
+    way every restart computes the same numbers, and the first restart
+    that raises, in restart order, raises from here.
+
     Returns (labels, info dict with the winner and, per restart, the final
     loss, the soft steps run and what stopped the soft phase: ``"labels"``
     for the label rule, ``"cap"`` for ``cfg.steps``).
@@ -290,8 +318,8 @@ def segment_tracks(
     positions = np.asarray(tracks, dtype=float)
     kind = cfg.loss_kind
     L.check_rank(kind, cfg.r, positions.shape)
-    runs = []
-    for restart in range(restarts):
+
+    def one_restart(restart):
         sub = replace(
             cfg, seed=int(np.random.default_rng([cfg.seed, restart]).integers(2**31))
         )
@@ -303,7 +331,22 @@ def segment_tracks(
         labels = merge_segments(positions, labels, kind, cfg.r, target=target_segments)
         labels = greedy_reassign(positions, labels, kind, cfg.r)
         loss = hard_loss(positions, labels, kind, cfg.r)
-        runs.append((loss, restart, labels, trace))
+        return loss, restart, labels, trace
+
+    workers = _restart_workers(restarts, _usable_cores(), nk.blas_threads() is not None)
+    if workers == 1:
+        runs = [one_restart(restart) for restart in range(restarts)]
+    else:
+        with nk.one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, one_restart, restart)
+                       for restart in range(restarts)]
+            try:
+                runs = [future.result() for future in futures]
+            finally:
+                # after a failure, restarts not yet started stay unstarted,
+                # as the failure would have ended the loop in restart order
+                for future in futures:
+                    future.cancel()
     best_loss, best_restart, best_labels, _ = min(runs, key=lambda t: (t[0], t[1]))
     # compact ids deterministically by first appearance
     _, first, inverse = np.unique(best_labels, return_index=True, return_inverse=True)

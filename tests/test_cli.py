@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import trajseg
-from trajseg import baselines, losses
+from trajseg import baselines, losses, optimizer
 from trajseg.cli import (GRADCHECK_DEFAULTS, SEGMENT_DEFAULTS, SWEEP_KEYS, SYNTH_KEYS,
                          VALUE_TYPES, main)
 from trajseg.errors import DivergenceError
@@ -297,6 +297,26 @@ class TestSegment:
         assert "Traceback" not in err
         assert "constraint residual grew" in err and "2.25" in err
         assert not (tmp_path / "lrr").exists()
+
+    def test_diverged_restart_exit_code(self, scene_dir, tmp_path, capsys, monkeypatch):
+        # the second of three restarts, which run concurrently, goes non-finite
+        bad = int(np.random.default_rng([1, 1]).integers(2**31))
+        traj_term = optimizer._traj_term
+
+        def diverging(cfg, logits, tracks):
+            total, grad = traj_term(cfg, logits, tracks)
+            return (np.nan if cfg.seed == bad else total), grad
+
+        monkeypatch.setattr(optimizer, "_traj_term", diverging)
+        config = tmp_path / "segment.json"
+        config.write_text(json.dumps({"steps": 30, "restarts": 3}))
+        rc = main(["segment", "--scene", str(scene_dir), "--method", "lrtl", "--config",
+                   str(config), "--out", str(tmp_path / "lrtl"), "--seed", "1"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "non-finite loss at step 0" in err and "Traceback" not in err
+        assert not (tmp_path / "lrtl").exists()
 
     @pytest.mark.parametrize("method", ["kmeans", "ssc"])
     def test_baseline_without_truth_clusters_smallest_k(self, scene_dir, tmp_path, monkeypatch,

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 
 from trajseg import losses as L
 from trajseg import metrics
+from trajseg import numkernel as nk
+from trajseg import optimizer
 from trajseg.errors import DivergenceError, InvalidInputError
 from trajseg.optimizer import (
     GREEDY_SWEEPS,
@@ -168,10 +172,10 @@ class TestLabelRule:
         assert not trace.converged
 
 
-def _acceptance_scene(seed):
+def _acceptance_scene(seed, noise_sigma=1.0):
     return make_scene(
         SceneConfig(mode="rigid3d_affine", num_objects=3, frames=16, grid=(256, 256),
-                    motion_seed=seed, noise_sigma=1.0, points_per_object=40)
+                    motion_seed=seed, noise_sigma=noise_sigma, points_per_object=40)
     )
 
 
@@ -208,6 +212,30 @@ class TestGreedyAgainstRescoringLoop:
         candidates = [rng.choice(8, size=3, replace=False) for _ in range(p.shape[1])]
         self._check(p, labels, candidates)
         self._check(p, labels)
+
+    def test_emptied_segment_is_no_later_candidate(self, monkeypatch):
+        # track i's matrix column holds i; a group scores the sum of its
+        # pairs' weights, so singletons and the empty group score 0.  In
+        # sweep 1 track 0 stays, track 1 leaves singleton segment 1 for
+        # segment 2, and tracks 2 and 3 stay; in sweep 2 segment 1 is
+        # empty, so track 0, whose top-3 candidates still name it, must not
+        # move there although that would lower the score by 1
+        pair = np.zeros((4, 4))
+        pair[0, 1] = pair[0, 3] = 2.0
+        pair[0, 2] = pair[2, 3] = 1.0
+        pair[1, 3] = -1.0
+        pair += pair.T
+
+        def group_score(cols, kind, r):
+            ids = cols[0].astype(int)
+            return float(pair[np.ix_(ids, ids)].sum() / 2)
+
+        monkeypatch.setattr(L, "hard_group_loss", group_score)
+        p = np.arange(4.0)[None, :]
+        labels = np.array([0, 1, 0, 2])
+        candidates = [np.array(c) for c in ([0, 1, 2], [1, 2, 0], [0, 2, 9], [2, 0, 9])]
+        self._check(p, labels, candidates)
+        assert list(greedy_reassign(p, labels, candidates=candidates)) == [0, 2, 0, 2]
 
     def test_reconstruction_loss(self, noisy_scene):
         p = noisy_scene.tracks.positions
@@ -291,3 +319,157 @@ class TestRefinement:
     def test_segment_tracks_rejects_counts_below_one(self, noisy_scene, kwargs):
         with pytest.raises(InvalidInputError):
             segment_tracks(noisy_scene.tracks.positions, OptimConfig(k=3, steps=5), **kwargs)
+
+
+def _restart_seed(seed, restart):
+    # the soft-phase seed that segment_tracks derives for a restart
+    return int(np.random.default_rng([seed, restart]).integers(2**31))
+
+
+@pytest.fixture(scope="module")
+def acceptance_pair():
+    return {"noisy": _acceptance_scene(0).tracks.positions,
+            "clean": _acceptance_scene(0, noise_sigma=0.0).tracks.positions}
+
+
+@pytest.fixture
+def fake_openblas(monkeypatch):
+    """Thread-count controls that hold a count of 2 in a dict, so that the
+    restarts run concurrently on any BLAS."""
+    state = {"threads": 2}
+    monkeypatch.setattr(nk, "_openblas", lambda: (lambda: state["threads"],
+                                                  lambda n: state.update(threads=n)))
+    return state
+
+
+def _diverge_in(monkeypatch, seed, fail_at):
+    """Make the soft loss non-finite at step ``fail_at[restart]`` of the
+    listed restarts of a run with config seed ``seed``."""
+    fail_at = {_restart_seed(seed, restart): step for restart, step in fail_at.items()}
+    steps = {}
+    traj_term = optimizer._traj_term
+
+    def diverging(cfg, logits, tracks):
+        total, grad = traj_term(cfg, logits, tracks)
+        step = steps[cfg.seed] = steps.get(cfg.seed, -1) + 1
+        return (np.nan if fail_at.get(cfg.seed) == step else total), grad
+
+    monkeypatch.setattr(optimizer, "_traj_term", diverging)
+
+
+class TestRestartWorkers:
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4, 7, 10**6])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 64, 10**6])
+    def test_one_per_restart_at_most_two_per_core(self, restarts, cores):
+        workers = optimizer._restart_workers(restarts, cores, blas_pinned=True)
+        assert workers == min(restarts, 2 * cores)
+        assert 1 <= workers <= 2 * cores
+        assert optimizer._restart_workers(restarts, cores, blas_pinned=False) == 1
+
+    def test_extremes(self):
+        assert optimizer._restart_workers(10**6, 1, True) == 2
+        assert optimizer._restart_workers(1, 10**6, True) == 1
+        assert optimizer._restart_workers(10**6, 10**6, False) == 1
+
+    def test_pool_size_follows_usable_cores(self, noisy_scene, monkeypatch, fake_openblas):
+        sizes = []
+
+        class Recording(optimizer.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(optimizer, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(optimizer, "_usable_cores", lambda: 1)
+        segment_tracks(noisy_scene.tracks.positions, OptimConfig(k=3, steps=20), restarts=5)
+        assert sizes == [2]
+
+
+class TestConcurrentRestarts:
+    @pytest.fixture(autouse=True)
+    def blas_count_kept(self):
+        before = nk.blas_threads()
+        yield
+        assert nk.blas_threads() == before
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["tail", "reconstruction"])
+    @pytest.mark.parametrize("scene", ["noisy", "clean"])
+    def test_equals_serial(self, acceptance_pair, monkeypatch, scene, kind, restarts):
+        p = acceptance_pair[scene]
+        cfg = OptimConfig(k=5, steps=100, seed=3, loss_kind=kind)
+        labels, info = segment_tracks(p, cfg, restarts=restarts, target_segments=4)
+        monkeypatch.setattr(nk, "_openblas", lambda: None)
+        serial_labels, serial_info = segment_tracks(p, cfg, restarts=restarts, target_segments=4)
+        assert np.array_equal(labels, serial_labels)
+        assert info == serial_info
+
+    def test_equals_serial_under_fast_thread_switches(self, noisy_scene, monkeypatch):
+        # more restarts than cores, switching threads every microsecond
+        p = noisy_scene.tracks.positions
+        cfg = OptimConfig(k=4, steps=40, seed=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            labels, info = segment_tracks(p, cfg, restarts=6, target_segments=3)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(nk, "_openblas", lambda: None)
+        serial_labels, serial_info = segment_tracks(p, cfg, restarts=6, target_segments=3)
+        assert np.array_equal(labels, serial_labels)
+        assert info == serial_info
+
+    def test_restarts_run_on_own_threads_with_blas_pinned(self, noisy_scene, monkeypatch,
+                                                          fake_openblas):
+        seen = []
+        optimize = optimizer.optimize_sequence
+
+        def recording(tracks, cfg):
+            seen.append((threading.get_ident(), nk.blas_threads()))
+            return optimize(tracks, cfg)
+
+        monkeypatch.setattr(optimizer, "optimize_sequence", recording)
+        segment_tracks(noisy_scene.tracks.positions, OptimConfig(k=3, steps=20), restarts=3)
+        assert len(seen) == 3
+        assert threading.get_ident() not in {ident for ident, _ in seen}
+        assert {threads for _, threads in seen} == {1}
+        assert fake_openblas["threads"] == 2
+
+    @pytest.mark.parametrize("serial", [False, True], ids=["concurrent", "serial"])
+    def test_first_diverged_restart_raises(self, noisy_scene, monkeypatch, serial):
+        # restart 2 diverges sooner, but restart order reports restart 1
+        if serial:
+            monkeypatch.setattr(nk, "_openblas", lambda: None)
+        _diverge_in(monkeypatch, 5, {1: 7, 2: 3})
+        with pytest.raises(DivergenceError, match=r"^non-finite loss at step 7$") as err:
+            segment_tracks(noisy_scene.tracks.positions, OptimConfig(k=3, steps=50, seed=5),
+                           restarts=3)
+        assert err.value.diagnostics["trace"].steps_run == 8
+
+    @pytest.mark.skipif(nk.blas_threads() is None,
+                        reason="numpy's OpenBLAS thread count is out of reach")
+    def test_blas_thread_count_restored(self, noisy_scene, monkeypatch):
+        before = nk.blas_threads()
+        p = noisy_scene.tracks.positions
+        segment_tracks(p, OptimConfig(k=3, steps=20), restarts=3)
+        assert nk.blas_threads() == before
+        _diverge_in(monkeypatch, 0, {1: 4})
+        with pytest.raises(DivergenceError):
+            segment_tracks(p, OptimConfig(k=3, steps=20), restarts=3)
+        assert nk.blas_threads() == before
+
+    @pytest.mark.parametrize("serial", [False, True], ids=["concurrent", "serial"])
+    def test_caller_errstate_reaches_restarts(self, noisy_scene, monkeypatch, serial):
+        if serial:
+            monkeypatch.setattr(nk, "_openblas", lambda: None)
+        traj_term = optimizer._traj_term
+        bad = _restart_seed(0, 1)
+
+        def dividing(cfg, logits, tracks):
+            if cfg.seed == bad:
+                np.ones(1) / np.zeros(1)
+            return traj_term(cfg, logits, tracks)
+
+        monkeypatch.setattr(optimizer, "_traj_term", dividing)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            segment_tracks(noisy_scene.tracks.positions, OptimConfig(k=3, steps=20), restarts=3)
