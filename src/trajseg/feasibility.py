@@ -6,6 +6,10 @@ background, s > 0 splits objects along an axis through their centroid),
 and softmax temperature tau applied to logit-encoded masks.  A sweep
 evaluates the chosen trajectory loss on point-sampled corrupted masks
 over a grid of (eta, s, tau) cells, averaging seeded trials per cell.
+The loss reads the corrupted first frame only at the tracks' pixels, so
+a sweep corrupts and softens only those pixels, with the same draws and
+the same weights, bit for bit, as corrupting the whole frame and reading
+it there.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ __all__ = [
     "ASSERTIONS",
     "CorruptionSpec",
     "SweepResult",
-    "corrupt_noise",
-    "corrupt_structural",
-    "corrupt_temperature",
+    "TrackFrame",
+    "track_pixels",
+    "track_frame",
     "apply_corruption",
     "point_assignment",
     "sweep",
@@ -54,125 +58,123 @@ class CorruptionSpec:
             raise InvalidInputError("tau must be positive")
 
 
-def _check_masks(masks):
-    masks = np.asarray(masks)
-    if masks.ndim != 3:
-        raise InvalidInputError("masks must be (T, H, W) label grids")
-    return masks.astype(np.int64, copy=True)
+@dataclass(frozen=True)
+class TrackFrame:
+    """One label grid as a sweep corrupts it, read at the flat pixel
+    indices ``index`` of its tracks.
 
-
-def corrupt_noise(masks, eta, seed=0, num_classes=None):
-    """Resample each pixel uniformly from {0..K-1} with probability eta.
-
-    The resample may redraw the original label, so the expected fraction
-    of changed pixels is eta * (K - 1) / K.  eta = 0 is the identity.
+    ``size`` is the grid's pixel count, which the noise draws cover,
+    ``labels`` the grid's label at each pixel read, and ``next_label`` the
+    label that the first split gives.  ``splits`` maps each object, in
+    ascending order, to the pixels read that a split along y (entry 0) or
+    x (entry 1) relabels, or to None where that axis would leave one side
+    of the object empty.  Merges and splits leave the pixels of every
+    object not drawn alone, and a split's label is above every label of
+    the grid, so these sides hold in every trial.
     """
-    masks = _check_masks(masks)
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidInputError("eta must lie in [0, 1]")
-    if eta == 0.0:
-        return masks
-    k = int(masks.max()) + 1 if num_classes is None else int(num_classes)
-    rng = np.random.default_rng(seed)
-    flip = rng.random(masks.shape) < eta
-    draws = rng.integers(0, k, masks.shape)
-    masks[flip] = draws[flip]
-    return masks
+
+    size: int
+    index: np.ndarray
+    labels: np.ndarray
+    next_label: int
+    splits: dict
 
 
-def corrupt_structural(masks, s, seed=0):
-    """Merge objects into the background (s < 0) or split them (s > 0).
+def track_pixels(grid, positions):
+    """Flat index of the pixel nearest each (x, y) position, in normalised
+    coordinates, of an (H, W) grid.
 
-    Splits cut along a random x- or y-parallel axis through the object's
-    per-frame centroid, giving one side a fresh label; an axis that leaves
-    one side empty is redrawn up to 8 times, after which the object is
-    left unchanged.
+    At the first frame, where tracks are sampled, every grid-sampled track
+    sits exactly on a pixel center.
     """
-    masks = _check_masks(masks)
-    objects = sorted(set(np.unique(masks)) - {0})
-    if abs(int(s)) > len(objects):
-        raise InvalidInputError(
-            f"|s|={abs(int(s))} exceeds the {len(objects)} available objects"
-        )
-    if s == 0 or not objects:
-        return masks
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(objects), size=abs(int(s)), replace=False)
-    chosen = [objects[i] for i in chosen]
-    if s < 0:
-        for label in chosen:
-            masks[masks == label] = 0
-        return masks
-    next_label = int(masks.max()) + 1
-    for label in chosen:
-        for _ in range(8):
-            axis = int(rng.integers(2))  # 0: split on y, 1: split on x
-            sel = masks == label
-            if not sel.any():
-                break
-            ts, ys, xs = np.nonzero(sel)
-            coord = xs if axis == 1 else ys
-            split_side = np.zeros(coord.shape, dtype=bool)
-            for t in np.unique(ts):
-                on_t = ts == t
-                center = coord[on_t].mean()
-                split_side[on_t] = coord[on_t] >= center
-            if split_side.all() or not split_side.any():
-                continue  # degenerate axis, redraw
-            masks[ts[split_side], ys[split_side], xs[split_side]] = next_label
-            next_label += 1
-            break
-    return masks
-
-
-def corrupt_temperature(mask, tau, num_classes=None) -> L.SoftAssignment:
-    """Soften one label grid through logits and a softmax temperature.
-
-    Labels become logits of magnitude ``LOGIT_SCALE`` on the true class;
-    softmax(logits / tau) then yields a pixel-mode soft assignment.  Small
-    tau recovers hard masks, large tau approaches uniform membership.
-    Every pixel of one class has the same logit row, and the softmax works
-    row by row, so each class is softened once (a k x k table) and its row
-    gathered for every pixel of the class: the same weights, bit for bit,
-    as softening each pixel.
-    """
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise InvalidInputError("temperature corruption expects one (H, W) grid")
-    if tau <= 0:
-        raise InvalidInputError("tau must be positive")
-    k = int(mask.max()) + 1 if num_classes is None else int(num_classes)
-    rows = L.softmax(np.eye(k) * LOGIT_SCALE / tau)
-    return L.SoftAssignment(weights=rows[mask.ravel()], mode="pixel", grid=mask.shape)
-
-
-def apply_corruption(masks, spec: CorruptionSpec, num_classes=None) -> L.SoftAssignment:
-    """Compose the three corruptions on a mask stack per one spec.
-
-    Structure first, then pixel noise, then the temperature softening of
-    the first frame; the same generator stream drives the random draws so
-    a spec fully determines the outcome.
-    """
-    rng = np.random.default_rng(spec.seed)
-    grids = corrupt_structural(masks, spec.s, seed=rng)
-    grids = corrupt_noise(grids, spec.eta, seed=rng, num_classes=num_classes)
-    return corrupt_temperature(grids[0], spec.tau, num_classes=num_classes)
+    h, w = grid
+    px = np.clip(np.rint(positions[:, 0] * w).astype(int), 0, w - 1)
+    py = np.clip(np.rint(positions[:, 1] * h).astype(int), 0, h - 1)
+    return py * w + px
 
 
 def point_assignment(soft_masks: L.SoftAssignment, scene: SceneTruth):
     """Read a first-frame pixel-mode assignment at the trajectory positions
-    of that frame.
+    of that frame, each snapped to its nearest pixel (``track_pixels``)."""
+    index = track_pixels(soft_masks.grid, scene.tracks.frame_positions(0))
+    return L.SoftAssignment(weights=soft_masks.weights[index], mode="point")
 
-    Positions snap to the nearest pixel; at the first frame, where tracks
-    are sampled, every grid-sampled track sits exactly on a pixel center.
+
+def track_frame(mask, scene: SceneTruth) -> TrackFrame:
+    """Prepare one (H, W) label grid for corruption at the pixels of the
+    scene's tracks at the first frame (``track_pixels``).
+
+    The labels there are the grid's hard assignment read by
+    ``point_assignment``.  A split cuts an object along an axis through its
+    centroid: the pixels whose coordinate is at least the mean of all the
+    object's pixel coordinates take the new label.
     """
-    h, w = soft_masks.grid
-    pos = scene.tracks.frame_positions(0)
-    px = np.clip(np.rint(pos[:, 0] * w).astype(int), 0, w - 1)
-    py = np.clip(np.rint(pos[:, 1] * h).astype(int), 0, h - 1)
-    return L.SoftAssignment(
-        weights=soft_masks.weights[py * w + px], mode="point"
-    )
+    mask = np.asarray(mask)
+    if mask.ndim != 2:
+        raise InvalidInputError("corruption expects one (H, W) label grid")
+    index = track_pixels(mask.shape, scene.tracks.frame_positions(0))
+    hard = L.SoftAssignment.from_labels(mask, mode="pixel", grid=mask.shape)
+    labels = point_assignment(hard, scene).weights.argmax(axis=1)
+    rows, cols = np.divmod(index, mask.shape[1])
+    splits = {}
+    for label in (int(v) for v in np.unique(mask) if v != 0):
+        on_object = labels == label
+        sides = []
+        for coord, at in zip(np.nonzero(mask == label), (rows, cols)):
+            center = coord.mean()
+            far = coord >= center
+            degenerate = far.all() or not far.any()
+            sides.append(None if degenerate else on_object & (at >= center))
+        splits[label] = tuple(sides)
+    return TrackFrame(mask.size, index, labels, int(mask.max()) + 1, splits)
+
+
+def apply_corruption(frame: TrackFrame, spec: CorruptionSpec, num_classes) -> L.SoftAssignment:
+    """Corrupt a prepared grid per one spec; the point-mode soft assignment
+    of its ``index`` pixels.
+
+    Structure first: s < 0 merges |s| objects into the background, s > 0
+    splits |s| objects, each along a random axis, redrawn up to 8 times
+    while the axis would leave one side empty, after which the object is
+    left unchanged.  Then pixel noise: each pixel of the grid is resampled
+    uniformly from {0..num_classes-1} with probability eta (the resample
+    may redraw the original label).  Last, the labels become logits of
+    magnitude ``LOGIT_SCALE`` on the true class, softened by
+    softmax(logits / tau): small tau recovers hard labels, large tau
+    approaches uniform membership.
+
+    One generator seeded by ``spec.seed`` makes every draw, and the noise
+    is drawn for the whole grid, so a pixel's outcome does not depend on
+    which other pixels are read.  Each class is softened once (a k x k
+    table) and its row gathered for every pixel of the class, the same
+    weights, bit for bit, as softening each pixel.
+    """
+    rng = np.random.default_rng(spec.seed)
+    objects = tuple(frame.splits)
+    if abs(spec.s) > len(objects):
+        raise InvalidInputError(
+            f"|s|={abs(spec.s)} exceeds the {len(objects)} available objects"
+        )
+    labels = frame.labels.copy()
+    if spec.s != 0:
+        chosen = [objects[i] for i in rng.choice(len(objects), size=abs(spec.s), replace=False)]
+        next_label = frame.next_label
+        for label in chosen:
+            if spec.s < 0:
+                labels[labels == label] = 0
+                continue
+            for _ in range(8):
+                side = frame.splits[label][int(rng.integers(2))]  # 0: y, 1: x
+                if side is not None:
+                    labels[side] = next_label
+                    next_label += 1
+                    break
+    if spec.eta != 0.0:
+        flip = rng.random(frame.size)[frame.index] < spec.eta
+        draws = rng.integers(0, num_classes, frame.size)[frame.index]
+        labels[flip] = draws[flip]
+    rows = L.softmax(np.eye(num_classes) * LOGIT_SCALE / spec.tau)
+    return L.SoftAssignment(weights=rows[labels], mode="point")
 
 
 @dataclass
@@ -223,9 +225,9 @@ def sweep(
     """Evaluate the loss over the corruption grid, ``trials`` runs per cell.
 
     Structural corruption is applied first, then pixel noise, then the
-    temperature softening; the corrupted first-frame mask is read at the
-    trajectory positions and the selected loss evaluated on the full
-    window.  Cells are deterministic given (seed, cell index, trial).
+    temperature softening (``apply_corruption``), to the first-frame mask
+    at the trajectory positions, and the selected loss is evaluated on the
+    full window.  Cells are deterministic given (seed, cell index, trial).
     Splits beyond the available object count are clipped out of the
     ``ss`` axis.  ``trials`` must be at least 1, and ``r`` must leave the
     loss a singular value to score (``losses.check_rank``).
@@ -244,7 +246,7 @@ def sweep(
     result = SweepResult(
         etas=list(etas), ss=list(ss), taus=list(taus), trials=trials, loss=loss
     )
-    frame0 = scene.masks[0:1]
+    frame = track_frame(scene.masks[0], scene)
     for cell_index, (eta, s, tau) in enumerate(itertools.product(etas, ss, taus)):
         values = np.empty(trials)
         for trial in range(trials):
@@ -255,8 +257,7 @@ def sweep(
                 tau=float(tau),
                 seed=int(cell_rng.integers(2**62)),
             )
-            soft = apply_corruption(frame0, spec, num_classes=num_classes)
-            assignment = point_assignment(soft, scene)
+            assignment = apply_corruption(frame, spec, num_classes)
             values[trial] = loss_fn(assignment, tracks, r)
         mean = float(values.mean())
         result.rows.append(

@@ -7,9 +7,9 @@ per frame pair.  Writes are atomic (temp file then rename) and all
 formatting is fixed so identical scenes produce identical bytes.
 
 ``synth`` writes every file.  ``segment`` reads only the manifest and
-``trajectories.csv`` (``load_tracks``); ``sweep`` reads the whole scene
+``trajectories.csv`` (``load_tracks``); ``sweep`` adds the mask tables
 (``load_scene``), because it corrupts the masks.  No command reads the
-flow tables back; ``load_scene`` still parses and checks them.
+flow tables back.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ def _flow_csvs(flows, h, w):
 
 
 def save_scene(scene: SceneTruth, out_dir) -> None:
-    """Write manifest, trajectory, mask and flow files into ``out_dir``."""
+    """Write manifest, trajectory and mask files into ``out_dir``, and the
+    flow tables of a scene that has flows (a loaded scene has none)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h, w = scene.config.grid
@@ -89,8 +90,9 @@ def save_scene(scene: SceneTruth, out_dir) -> None:
     atomic_write_text(out / "trajectories.csv", _trajectories_csv(scene.tracks))
     for t in range(scene.config.frames):
         atomic_write_text(out / f"mask_{t:04d}.csv", _mask_csv(scene.masks[t]))
-    for t, text in enumerate(_flow_csvs(scene.flows, h, w)):
-        atomic_write_text(out / f"flow_{t:04d}.csv", text)
+    if scene.flows is not None:
+        for t, text in enumerate(_flow_csvs(scene.flows, h, w)):
+            atomic_write_text(out / f"flow_{t:04d}.csv", text)
 
 
 def _read_table(path, shape=None, **kwargs):
@@ -150,7 +152,7 @@ def _read_tracks(root, frames, n_tracks) -> TrajectoryMatrix:
 
 def load_tracks(scene_dir) -> TrajectoryMatrix:
     """The tracks of a scene, read from its manifest and ``trajectories.csv``
-    alone; the mask and flow tables are neither read nor checked."""
+    alone; the mask tables are neither read nor checked."""
     root = Path(scene_dir)
     cfg, n_tracks, _ = _read_manifest(root)
     return _read_tracks(root, cfg.frames, n_tracks)
@@ -158,9 +160,10 @@ def load_tracks(scene_dir) -> TrajectoryMatrix:
 
 def load_scene(scene_dir) -> SceneTruth:
     """Rebuild a scene from its files: the tracks of ``load_tracks`` plus
-    every mask and flow table, each checked against the manifest's sizes.
+    every mask table, each checked against the manifest's sizes.
 
-    Only observables are serialized, so the generator's per-object
+    The flow tables are neither read nor checked, so ``flows`` comes back
+    None; only observables are serialized, so the generator's per-object
     geometry comes back empty.
     """
     root = Path(scene_dir)
@@ -171,15 +174,11 @@ def load_scene(scene_dir) -> SceneTruth:
     masks = np.zeros((frames, h, w), dtype=np.int16)
     for t in range(frames):
         masks[t] = _read_table(root / f"mask_{t:04d}.csv", shape=(h, w), dtype=np.int16)
-    flows = np.zeros((frames - 1, h * w, 2))
-    for t in range(frames - 1):
-        table = _read_table(root / f"flow_{t:04d}.csv", shape=(h * w, 4), skiprows=1)
-        flows[t] = table[:, 2:4]
     return SceneTruth(
         config=cfg,
         tracks=tracks,
         masks=masks,
-        flows=flows,
+        flows=None,
         geometry=(),
         metadata=metadata,
     )

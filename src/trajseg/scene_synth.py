@@ -177,7 +177,7 @@ class SceneTruth:
     config: SceneConfig
     tracks: TrajectoryMatrix
     masks: np.ndarray  # (T, H, W) integer component labels
-    flows: np.ndarray  # (T-1, H*W, 2) pixels/frame
+    flows: np.ndarray | None  # (T-1, H*W, 2) pixels/frame; None once loaded
     geometry: tuple
     metadata: dict = field(default_factory=dict)
 
@@ -253,10 +253,20 @@ def _random_convex_polygon(rng, radius):
 
 
 def _rasterize_convex(verts, h, w):
-    """Boolean mask of pixel centers inside a convex CCW polygon."""
-    ys, xs = np.mgrid[0:h, 0:w]
+    """Boolean mask of pixel centers inside a convex CCW polygon.
+
+    Only the pixels of the polygon's integer bounding box, clipped to the
+    grid, are tested; every pixel outside it is outside the polygon.
+    """
+    x0, y0 = np.maximum(np.floor(verts.min(axis=0)).astype(int), 0)
+    x1, y1 = np.minimum(np.ceil(verts.max(axis=0)).astype(int), (w - 1, h - 1))
+    inside = np.zeros((h, w), dtype=bool)
+    if x0 > x1 or y0 > y1:
+        return inside
+    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
     pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
-    return (_convex_sdf(pts, verts) <= 0.0).reshape(h, w)
+    inside[y0 : y1 + 1, x0 : x1 + 1] = (_convex_sdf(pts, verts) <= 0.0).reshape(xs.shape)
+    return inside
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,83 @@ def temperature_weights(mask, tau, num_classes, scale):
     return _softmax(logits / tau)
 
 
+# The full-frame mask corruption that a sweep trial reads at the tracks'
+# pixels: structure, then noise, then temperature, every pixel of the grid.
+def corrupt_noise(masks, eta, seed=0, num_classes=None):
+    """Resample each pixel uniformly from {0..K-1} with probability eta."""
+    masks = np.array(masks, dtype=np.int64)
+    if eta == 0.0:
+        return masks
+    k = int(masks.max()) + 1 if num_classes is None else int(num_classes)
+    rng = np.random.default_rng(seed)
+    flip = rng.random(masks.shape) < eta
+    draws = rng.integers(0, k, masks.shape)
+    masks[flip] = draws[flip]
+    return masks
+
+
+def corrupt_structural(masks, s, seed=0):
+    """Merge |s| objects into the background (s < 0) or split |s| objects
+    (s > 0) along a random x- or y-parallel axis through the object's
+    per-frame centroid, redrawing an axis that leaves one side empty up to
+    8 times."""
+    masks = np.array(masks, dtype=np.int64)
+    objects = sorted(set(np.unique(masks)) - {0})
+    if abs(int(s)) > len(objects):
+        raise ValueError(f"|s|={abs(int(s))} exceeds the {len(objects)} available objects")
+    if s == 0 or not objects:
+        return masks
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(objects), size=abs(int(s)), replace=False)
+    chosen = [objects[i] for i in chosen]
+    if s < 0:
+        for label in chosen:
+            masks[masks == label] = 0
+        return masks
+    next_label = int(masks.max()) + 1
+    for label in chosen:
+        for _ in range(8):
+            axis = int(rng.integers(2))  # 0: split on y, 1: split on x
+            sel = masks == label
+            if not sel.any():
+                break
+            ts, ys, xs = np.nonzero(sel)
+            coord = xs if axis == 1 else ys
+            split_side = np.zeros(coord.shape, dtype=bool)
+            for t in np.unique(ts):
+                on_t = ts == t
+                center = coord[on_t].mean()
+                split_side[on_t] = coord[on_t] >= center
+            if split_side.all() or not split_side.any():
+                continue
+            masks[ts[split_side], ys[split_side], xs[split_side]] = next_label
+            next_label += 1
+            break
+    return masks
+
+
+def apply_corruption(masks, spec, num_classes, scale):
+    """Pixel weights of the first frame of ``masks`` under one corruption
+    spec (``eta``, ``s``, ``tau``, ``seed``): every pixel's softmax row."""
+    rng = np.random.default_rng(spec.seed)
+    grids = corrupt_structural(masks, spec.s, seed=rng)
+    grids = corrupt_noise(grids, spec.eta, seed=rng, num_classes=num_classes)
+    return temperature_weights(grids[0], spec.tau, num_classes, scale)
+
+
+def rasterize_convex(verts, h, w):
+    """Pixel centers of an (h, w) grid inside a convex CCW polygon, every
+    pixel tested: the largest signed distance to an edge's line, with
+    outward unit normals, is at most 0."""
+    ys, xs = np.mgrid[0:h, 0:w]
+    pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+    edges = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    normals = normals / np.linalg.norm(edges, axis=1)[:, None]
+    d = np.einsum("pev,ev->pe", pts[:, None, :] - verts[None, :, :], normals)
+    return (d.max(axis=1) <= 0.0).reshape(h, w)
+
+
 # scene tables formatted one value at a time with f-strings
 def trajectories_csv(tracks):
     lines = ["track_id,frame,x,y,visible,label"]

@@ -382,6 +382,27 @@ class TestSweep:
             blobs.append((out / "sweep.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("fault", ["malformed", "deleted"])
+    def test_needs_no_flow_table(self, scene_dir, tmp_path, capsys, fault):
+        bare = tmp_path / "bare"
+        shutil.copytree(scene_dir, bare)
+        for path in bare.glob("flow_*.csv"):
+            if fault == "deleted":
+                path.unlink()
+            else:
+                path.write_text("x,y,u,v\na,b,c,d\n")
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"trials": 2, "etas": [0.0, 0.5], "ss": [-1, 0, 1],
+                                   "taus": [1.0, 4.0]}))
+        runs = []
+        for scene, out in ((scene_dir, "full"), (bare, "bare")):
+            rc = main(["sweep", "--scene", str(scene), "--config", str(cfg),
+                       "--out", str(tmp_path / out), "--seed", "4"])
+            printed = capsys.readouterr().out.replace(str(tmp_path / out), "OUT")
+            runs.append((rc, printed) + tuple(
+                (tmp_path / out / name).read_bytes() for name in ("sweep.csv", "sweep_meta.json")))
+        assert runs[0] == runs[1]
+
     def test_unknown_assertion_rejected_before_the_sweep(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"assertions": ["eta_monotone", "min_at_trut"]}))
@@ -449,10 +470,8 @@ ERROR_CASES = [
     pytest.param("segment", ("trajectories.csv", _drop_last_lines(3)), 3, id="truncated-tracks"),
     pytest.param("segment", ("trajectories.csv", _cut_mid_line), 3, id="tracks-cut-mid-line"),
     pytest.param("segment", ("trajectories.csv", _duplicate_first_row), 3, id="duplicated-row"),
-    # segment reads only the manifest and the tracks; sweep parses every table
+    # segment reads only the manifest and the tracks; sweep adds the masks
     pytest.param("sweep", ("mask_0003.csv", _drop_last_lines(1)), 3, id="short-mask"),
-    pytest.param("sweep", ("flow_0000.csv", _replace_with("x,y,u,v\na,b,c,d\n")), 3,
-                 id="non-numeric-flow"),
     pytest.param("segment", ("manifest.json", _replace_with("{")), 3, id="manifest-not-json"),
     pytest.param("segment", ("trajectories.csv", lambda p: p.unlink()), 2, id="missing-tracks"),
     pytest.param("segment", {"steps": "many"}, 3, id="steps-not-a-number"),

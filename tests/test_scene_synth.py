@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from trajseg.errors import InvalidInputError, RangeError
-from trajseg.scene_synth import MODES, SceneConfig, make_scene, window
+from trajseg.scene_synth import (MODES, SceneConfig, _projected_polygon, _rasterize_convex,
+                                  make_scene, window)
 
-from oracles import svd_truncate
+from oracles import rasterize_convex, svd_truncate
 
 
 def nearest_pixel_labels(scene, t):
@@ -224,6 +225,31 @@ class TestFlow:
                 expect = _apply_map(comp.maps[t + 1], patch) - pix
                 assert np.abs(flow[take] - expect).max() < 1e-9
 
+
+
+class TestRasterize:
+    # a pentagon of radius 6 centred where it crosses each grid edge and
+    # corner of a 20 x 30 grid, lies inside it, outside it, or covers it
+    @pytest.mark.parametrize("center,radius", [
+        ((0.3, 10.0), 6.0), ((29.6, 10.0), 6.0), ((15.0, 0.0), 6.0), ((15.0, 19.2), 6.0),
+        ((0.0, 0.0), 6.0), ((29.0, 0.5), 6.0), ((0.5, 19.0), 6.0), ((30.0, 20.0), 6.0),
+        ((15.0, 10.0), 6.0), ((-7.0, 10.0), 6.0), ((15.0, 27.0), 6.0), ((15.0, 10.0), 60.0),
+        ((15.0, 10.0), 0.4), ((-5.999, -5.999), 6.0),
+    ])
+    def test_bounding_box_matches_full_grid(self, center, radius):
+        angles = np.array([0.1, 1.4, 2.6, 3.9, 5.1])
+        verts = np.asarray(center) + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+        assert np.array_equal(_rasterize_convex(verts, 20, 30), rasterize_convex(verts, 20, 30))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scene_polygons_match_full_grid(self, mode):
+        sc = make_scene(SceneConfig(mode=mode, num_objects=3, frames=6, grid=(48, 64),
+                                    motion_seed=5))
+        for t in range(sc.config.frames):
+            for comp in sc.geometry:
+                poly = _projected_polygon(comp, t)
+                assert np.array_equal(_rasterize_convex(poly, 48, 64),
+                                      rasterize_convex(poly, 48, 64))
 
 
 class TestNoiseAndVisibility:
