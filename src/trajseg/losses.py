@@ -323,6 +323,29 @@ def _rank_residual_terms(weights, base, r):
     return float((resid**2).sum()), 2.0 * np.einsum("kmn,mn->nk", resid, base)
 
 
+def row_space_coordinates(tracks):
+    """The tracks' coordinates in their numerical row space: Z = U_q^T X.
+
+    With X = U Sigma V^T, q counts the sigma_i above sqrt(eps) sigma_1, the
+    same as sigma_i^2 > eps sigma_1^2: below that a Gram eigenvalue is
+    round-off.  With E = X - U_q U_q^T X and ||diag(w)||_2 <= 1, Mirsky's
+    inequality moves the singular values of Z diag(w) from those of
+    X diag(w) by at most ||E||_* = sum_{i>q} sigma_i in all, so the tail
+    loss of K groups by at most K ||E||_*, and the root of each group's
+    squared rank-r residual (the reconstruction loss) by at most ||E||_F.
+    Rigid motion has rank <= 4 per object, so noise-free tracks have q < 2T.
+    ``tracks`` itself comes back when q = 2T (noisy tracks), when it is not
+    finite, and when q = 0: a zero matrix, or a spectrum that overflowed.
+    """
+    if not np.all(np.isfinite(tracks)):
+        return tracks
+    u, sigma, _ = np.linalg.svd(tracks, full_matrices=False)
+    q = int(np.count_nonzero(sigma > np.sqrt(np.finfo(float).eps) * sigma[0]))
+    if not 0 < q < tracks.shape[0]:
+        return tracks
+    return u[:, :q].T @ tracks
+
+
 def trajectory_reconstruction_loss(
     assignment: SoftAssignment, tracks, r=DEFAULT_RANK
 ) -> float:

@@ -112,13 +112,19 @@ def optimize_sequence(tracks, cfg: OptimConfig):
 
     ``tracks`` is a (2T, N) matrix of normalised positions; callers are
     expected to have dropped columns that are invisible at the window's
-    reference frame.  Deterministic for a fixed config.  A non-finite loss
+    reference frame.  The tail and reconstruction losses read only the
+    groups' singular values, so their soft phase runs on the tracks'
+    row-space coordinates (``losses.row_space_coordinates``), which have
+    fewer than 2T rows when the tracks are rank deficient, as noise-free
+    rigid motion is.  Deterministic for a fixed config.  A non-finite loss
     aborts with the trace so far attached to the raised error.
     """
     positions = np.asarray(tracks, dtype=float)
     n = positions.shape[1]
     if n < cfg.k:
         raise InvalidInputError(f"need at least k={cfg.k} tracks, got {n}")
+    if cfg.loss_kind in ("tail", "reconstruction"):
+        positions = L.row_space_coordinates(positions)
     rng = np.random.default_rng(cfg.seed)
     logits = rng.normal(0.0, INIT_STD, (n, cfg.k))
     m = np.zeros_like(logits)

@@ -284,6 +284,86 @@ class TestTailKernelAgainstSvd:
         assert not np.isfinite(value)
 
 
+def _as_written(p):
+    """The positions as ``synth`` writes them to trajectories.csv."""
+    return np.char.mod("%.9g", p).astype(float)
+
+
+class TestRowSpaceCoordinates:
+    """The soft losses on Z = U_q^T X against the same kernels on X."""
+
+    @pytest.mark.parametrize("written", [False, True])
+    def test_noise_free_scene_reduces_to_its_rank(self, written):
+        # rounding to 9 digits leaves singular values near 1e-10 sigma_1
+        # where the exact matrix has round-off: sqrt(eps) sigma_1 still cuts
+        # them, where matrix_rank's eps * max(m, n) sigma_1 would not
+        sc = _rigid_scene(0.0)
+        exact = sc.tracks.positions
+        p = _as_written(exact) if written else exact
+        z = L.row_space_coordinates(p)
+        assert z.shape == (np.linalg.matrix_rank(exact), p.shape[1])
+        assert z.shape[0] < p.shape[0]
+
+    @pytest.mark.parametrize("written", [False, True])
+    @pytest.mark.parametrize("margin", [None, 8.0, 12.0])
+    def test_noise_free_losses_match(self, written, margin):
+        # the kernels' own tolerances (TestTailKernelAgainstSvd), widened
+        # by Mirsky's bound: each of K groups' singular values move by at
+        # most ||E||_* = sum_{i>q} sigma_i, so the tail moves by K ||E||_*;
+        # the root of a group's squared residual moves by at most ||E||_F
+        sc = _rigid_scene(0.0)
+        p = sc.tracks.positions
+        if written:
+            p = _as_written(p)
+        rng = np.random.default_rng(1)
+        if margin is None:
+            logits = rng.standard_normal((p.shape[1], 10)) * 0.5
+        else:
+            logits = margin * np.eye(10)[sc.labels] + 0.1 * rng.standard_normal(
+                (p.shape[1], 10)
+            )
+        k = logits.shape[1]
+        z = L.row_space_coordinates(p)
+        dropped = np.linalg.svd(p, compute_uv=False)[z.shape[0]:]
+        nuclear, frobenius = dropped.sum(), np.sqrt((dropped**2).sum())
+        for kind, value_and_grad in (
+            ("tail", L.trajectory_tail_value_and_grad),
+            ("reconstruction", L.trajectory_reconstruction_value_and_grad),
+        ):
+            value, grad = value_and_grad(logits, z, 5)
+            ref_value, ref_grad = value_and_grad(logits, p, 5)
+            if kind == "tail":
+                bound = k * nuclear
+            else:
+                bound = frobenius * (2.0 * np.sqrt(k * max(value, ref_value)) + k * frobenius)
+            assert abs(value - ref_value) <= bound + 1e-8 * ref_value, kind
+            if not written:
+                assert abs(value - ref_value) <= 1e-8 * ref_value, kind
+            assert np.linalg.norm(grad - ref_grad) <= 1e-6 * np.linalg.norm(ref_grad), kind
+
+    def test_noisy_tracks_pass_through(self):
+        p = _rigid_scene(1.0).tracks.positions
+        assert L.row_space_coordinates(p) is p
+
+    def test_fewer_tracks_than_rows(self):
+        p = np.random.default_rng(2).standard_normal((32, 20))
+        z = L.row_space_coordinates(p)
+        assert z.shape == (20, 20)
+        assert np.allclose(np.linalg.svd(z, compute_uv=False),
+                           np.linalg.svd(p, compute_uv=False), rtol=1e-12, atol=0)
+
+    def test_zero_and_nonfinite_tracks_pass_through(self):
+        zero = np.zeros((8, 12))
+        assert L.row_space_coordinates(zero) is zero
+        nan = np.ones((8, 12))
+        nan[3, 4] = np.nan
+        assert L.row_space_coordinates(nan) is nan
+        # finite, but its spectrum overflows
+        huge = np.random.default_rng(0).random((8, 12)) * 1.6e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert L.row_space_coordinates(huge) is huge
+
+
 class TestReconstructionLoss:
     def test_rank_r_group_is_free(self):
         rng = np.random.default_rng(4)

@@ -172,6 +172,88 @@ class TestLabelRule:
         assert not trace.converged
 
 
+def _one_rigid_object():
+    # one rigid object seen by an affine camera: its 16 x 85 track matrix
+    # has rank 3, below the default rank index 5
+    scene = make_scene(
+        SceneConfig(mode="rigid3d_affine", num_objects=1, frames=8,
+                    grid=(64, 64), motion_seed=2, points_per_object=60)
+    )
+    return scene.tracks.positions[:, scene.labels == 1]
+
+
+def _without_reduction(monkeypatch):
+    monkeypatch.setattr(L, "row_space_coordinates", lambda tracks: tracks)
+
+
+class TestRowSpaceSoftPhase:
+    """The tail and reconstruction soft phases run on the tracks' row-space
+    coordinates (losses.row_space_coordinates); the other losses on X."""
+
+    @pytest.mark.parametrize("kind", optimizer.LOSS_KINDS)
+    def test_which_losses_reduce(self, monkeypatch, kind):
+        scene = make_scene(
+            SceneConfig(mode="rigid3d_affine", num_objects=2, frames=10,
+                        grid=(96, 96), motion_seed=4, points_per_object=30)
+        )
+        p = scene.tracks.positions
+        seen = []
+        traj_term = optimizer._traj_term
+
+        def recording(cfg, logits, tracks):
+            seen.append(tracks)
+            return traj_term(cfg, logits, tracks)
+
+        monkeypatch.setattr(optimizer, "_traj_term", recording)
+        optimize_sequence(p, OptimConfig(k=3, steps=2, loss_kind=kind))
+        assert len(seen) == 2 and seen[0] is seen[1]
+        if kind in ("tail", "reconstruction"):
+            assert seen[0].shape == (np.linalg.matrix_rank(p), p.shape[1])
+        else:
+            assert np.array_equal(seen[0], p)
+
+    @pytest.mark.parametrize("kind", ["tail", "reconstruction"])
+    def test_noisy_trace_is_the_unreduced_loops(self, noisy_scene, monkeypatch, kind):
+        p = noisy_scene.tracks.positions
+        cfg = OptimConfig(k=4, steps=300, seed=1, loss_kind=kind)
+        a1, t1 = optimize_sequence(p, cfg)
+        _without_reduction(monkeypatch)
+        a2, t2 = optimize_sequence(p, cfg)
+        assert np.array_equal(t1.losses, t2.losses)
+        assert np.array_equal(a1.weights, a2.weights)
+
+    @pytest.mark.parametrize("kind", ["tail", "reconstruction"])
+    def test_fewer_tracks_than_rows(self, noisy_scene, monkeypatch, kind):
+        # 18 noisy tracks of 24 rows: Z has 18 rows, and the same labels
+        p = noisy_scene.tracks.positions
+        p = p[:, np.sort(np.random.default_rng(0).choice(p.shape[1], 18, replace=False))]
+        assert L.row_space_coordinates(p).shape == (18, 18)
+        cfg = OptimConfig(k=3, steps=1200, seed=0, loss_kind=kind)
+        a1, t1 = optimize_sequence(p, cfg)
+        labels1, info1 = segment_tracks(p, cfg, restarts=2, target_segments=2)
+        _without_reduction(monkeypatch)
+        a2, t2 = optimize_sequence(p, cfg)
+        labels2, info2 = segment_tracks(p, cfg, restarts=2, target_segments=2)
+        assert t1.steps_run == t2.steps_run
+        assert np.array_equal(hard_labels(a1), hard_labels(a2))
+        assert np.array_equal(labels1, labels2)
+        assert info1 == info2
+
+    def test_rank_below_r_ends_on_the_label_rule(self):
+        # q = 3 < r = 5: every group's tail is an empty sum, so the loss is
+        # exactly 0, the logits never leave their start, and the label rule
+        # ends the phase at its first chance (X gave round-off, ~4e-14)
+        p = _one_rigid_object()
+        assert L.row_space_coordinates(p).shape[0] == 3
+        cfg = OptimConfig(k=4, steps=1200, seed=0)
+        assignment, trace = optimize_sequence(p, cfg)
+        assert np.all(trace.losses == 0.0)
+        assert trace.converged
+        assert trace.steps_run == optimizer.LABEL_CHECK_STEPS * (optimizer.LABEL_CHECKS + 1)
+        start = np.random.default_rng(cfg.seed).normal(0.0, optimizer.INIT_STD, (p.shape[1], 4))
+        assert np.array_equal(assignment.weights, L.softmax(start))
+
+
 def _acceptance_scene(seed, noise_sigma=1.0):
     return make_scene(
         SceneConfig(mode="rigid3d_affine", num_objects=3, frames=16, grid=(256, 256),
