@@ -202,12 +202,22 @@ def ssc_admm(data, alpha=100.0, max_iter=200) -> CoefficientMatrix:
 
 
 def _svt(matrix, thr):
-    """Singular-value thresholding via the exact SVD."""
-    f = nk.svd(matrix)
-    keep = f.sigma > thr
+    """Singular-value thresholding of a matrix with no more rows than
+    columns, through the Gram matrix of its rows unless round-off there
+    could move a kept singular value (see ``lrr``); one ``numkernel.svd``
+    call either way."""
+    gram = matrix @ matrix.T
+    if gram.shape[0] * np.finfo(float).eps * np.trace(gram) > 1e-8 * thr * thr:
+        f = nk.svd(matrix)
+        keep = f.sigma > thr
+        return (f.u[:, keep] * (f.sigma[keep] - thr)) @ f.v[:, keep].T
+    f = nk.svd(gram)
+    sigma = np.sqrt(f.sigma)
+    keep = sigma > thr
     if not np.any(keep):
         return np.zeros_like(matrix)
-    return (f.u[:, keep] * (f.sigma[keep] - thr)) @ f.v[:, keep].T
+    u = f.u[:, keep]
+    return (u * (1.0 - thr / sigma[keep])) @ (u.T @ matrix)
 
 
 def _column_shrink(matrix, thr):
@@ -241,6 +251,14 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000):
     matrices: each iteration thresholds a q x N matrix instead of an N x N
     one.  The stopping rule and the divergence guard still use the max norm
     of the full gap C - J = Q(Z - Z_J), which Q does not preserve.
+
+    The thresholding itself goes through the q x q Gram matrix G = M M^T of
+    the iterate M: one SVD of G gives U and lambda = sigma^2, and
+    U_k diag(1 - tau / sigma_k) U_k^T M over the kept sigma_k > tau is the
+    thresholded M, since its right factors are V_k = M^T U_k / sigma_k.  A
+    guard keeps the SVD of M itself where q eps |M|_F^2 > 1e-8 tau^2, so
+    that round-off in G's eigenvalues cannot move a kept sigma by more than
+    1e-8 relative.  Each iteration makes one ``numkernel.svd`` call.
     """
     if not rho >= 1:
         raise InvalidInputError(f"rho must be at least 1, got {rho}")

@@ -228,6 +228,8 @@ def sweep(
     temperature softening (``apply_corruption``), to the first-frame mask
     at the trajectory positions, and the selected loss is evaluated on the
     full window.  Cells are deterministic given (seed, cell index, trial).
+    A cell with eta 0 and s 0 draws nothing, so every trial of it would
+    score the same assignment: it is scored once and the value repeated.
     Splits beyond the available object count are clipped out of the
     ``ss`` axis.  ``trials`` must be at least 1, and ``r`` must leave the
     loss a singular value to score (``losses.check_rank``).
@@ -248,8 +250,9 @@ def sweep(
     )
     frame = track_frame(scene.masks[0], scene)
     for cell_index, (eta, s, tau) in enumerate(itertools.product(etas, ss, taus)):
+        draw_free = float(eta) == 0.0 and int(s) == 0
         values = np.empty(trials)
-        for trial in range(trials):
+        for trial in range(1 if draw_free else trials):
             cell_rng = np.random.default_rng([seed, cell_index, trial])
             spec = CorruptionSpec(
                 eta=float(eta),
@@ -259,6 +262,8 @@ def sweep(
             )
             assignment = apply_corruption(frame, spec, num_classes)
             values[trial] = loss_fn(assignment, tracks, r)
+        if draw_free:
+            values[1:] = values[0]
         mean = float(values.mean())
         result.rows.append(
             {

@@ -62,8 +62,10 @@ def svd(a) -> SvdFactors:
     """Compact singular value decomposition, as ``np.linalg.svd`` returns it.
 
     The signs of matching singular vector pairs are LAPACK's.  The only
-    caller, LRR's singular-value thresholding, multiplies ``u`` and ``v.T``
-    back together, so it cannot observe them.
+    caller, LRR's singular-value thresholding, decomposes the Gram matrix
+    M M^T of each iterate and reads ``u`` only through U_k U_k^T; past its
+    round-off guard it decomposes M itself and multiplies ``u`` and ``v.T``
+    back together.  Either way it cannot observe the signs.
 
     Raises
     ------

@@ -123,6 +123,16 @@ def svd_truncate(a, r):
     return (u[:, :r] * sigma[:r]) @ vt[:r]
 
 
+def direct_svt(a, thr):
+    """Singular-value thresholding through the compact SVD of ``a`` itself:
+    every singular value shrunk by ``thr`` and those not above it dropped."""
+    u, sigma, vt = np.linalg.svd(np.asarray(a, float), full_matrices=False)
+    keep = sigma > thr
+    if not np.any(keep):
+        return np.zeros_like(a)
+    return (u[:, keep] * (sigma[keep] - thr)) @ vt[keep]
+
+
 def svd_tail_value_and_grad(logits, tracks, r):
     """Tail loss sum_{i>=r} sigma_i over softmax-masked groups and its
     gradient w.r.t. the logits, from a full batched SVD.

@@ -8,7 +8,7 @@ from trajseg import numkernel as nk
 from trajseg.errors import DegenerateInputError, InvalidInputError
 from trajseg.scene_synth import SceneConfig, make_scene
 
-from oracles import full_space_lrr, random_orthonormal
+from oracles import direct_svt, full_space_lrr, matrix_with_spectrum, random_orthonormal
 
 
 def union_of_subspaces(rng, ambient, dims, counts, noise=0.0):
@@ -158,8 +158,10 @@ class TestLrr:
 
     def test_thresholding_ignores_singular_vector_signs(self, monkeypatch):
         # LAPACK's sign for each pair of singular vectors is arbitrary;
-        # thresholding multiplies u and v.T back together, so negating
-        # matching columns of both must leave every iterate bit for bit
+        # thresholding reads u only through U_k U_k^T of the Gram's factors
+        # (or, past the round-off guard, multiplies u and v.T back together),
+        # so negating matching columns of both must leave every iterate bit
+        # for bit
         rng = np.random.default_rng(5)
         data, _ = union_of_subspaces(rng, 20, [3, 3], [15, 15], noise=0.01)
         ref = B.lrr(data, lam=0.5)
@@ -180,6 +182,70 @@ class TestLrr:
         rng = np.random.default_rng(6)
         with pytest.raises(InvalidInputError, match="rho"):
             B.lrr(rng.standard_normal((10, 8)), rho=rho)
+
+
+SVT_MATRICES = {
+    "random": lambda rng: rng.standard_normal((32, 200)),
+    "rank-six": lambda rng: random_orthonormal(rng, 32, 6) @ rng.standard_normal((6, 200)),
+    "N-below-2T": lambda rng: rng.standard_normal((24, 24)),
+    "spread-spectrum": lambda rng: matrix_with_spectrum(rng, 32, 120, np.logspace(2, -6, 32)),
+}
+
+
+class TestSvt:
+    """Thresholding through the Gram of the rows against the SVD of the
+    matrix itself; each call decomposes exactly once, on either branch."""
+
+    @staticmethod
+    def svd_arguments(monkeypatch):
+        calls = []
+        exact = nk.svd
+
+        def recorded(a):
+            calls.append(a)
+            return exact(a)
+
+        monkeypatch.setattr(nk, "svd", recorded)
+        return calls
+
+    @pytest.mark.parametrize("name", list(SVT_MATRICES))
+    def test_threshold_above_largest_singular_value_gives_zero(self, name, monkeypatch):
+        m = SVT_MATRICES[name](np.random.default_rng(13))
+        thr = 1.01 * np.linalg.svd(m, compute_uv=False)[0]
+        calls = self.svd_arguments(monkeypatch)
+        out = B._svt(m, thr)
+        assert len(calls) == 1 and calls[0].shape == (m.shape[0], m.shape[0])
+        assert np.array_equal(out, np.zeros_like(m))
+
+    @pytest.mark.parametrize("name", list(SVT_MATRICES))
+    @pytest.mark.parametrize("kept", [1, 3, 6])
+    def test_threshold_between_singular_values_matches_direct_svd(self, name, kept,
+                                                                  monkeypatch):
+        m = SVT_MATRICES[name](np.random.default_rng(13))
+        sigma = np.linalg.svd(m, compute_uv=False)
+        thr = (sigma[kept - 1] + sigma[kept]) / 2
+        calls = self.svd_arguments(monkeypatch)
+        out = B._svt(m, thr)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], m @ m.T)
+        # measured 1e-15 to 1e-14 of sigma_1; the guard allows 1e-8 in a kept sigma
+        assert np.abs(out - direct_svt(m, thr)).max() <= 1e-12 * sigma[0]
+        assert np.linalg.matrix_rank(out, tol=1e-9 * sigma[0]) == kept
+
+    @pytest.mark.parametrize("name", list(SVT_MATRICES))
+    def test_small_threshold_takes_the_svd_of_the_matrix(self, name, monkeypatch):
+        # q eps |M|_F^2 > 1e-8 thr^2: Gram round-off could move a kept sigma
+        m = SVT_MATRICES[name](np.random.default_rng(13))
+        thr = 1e-4 * np.linalg.norm(m)
+        calls = self.svd_arguments(monkeypatch)
+        out = B._svt(m, thr)
+        assert len(calls) == 1 and calls[0] is m
+        assert np.array_equal(out, direct_svt(m, thr))
+
+    def test_lrr_decomposes_once_per_iteration(self, monkeypatch):
+        calls = self.svd_arguments(monkeypatch)
+        out = B.lrr(_rank_six_union(), lam=2.0)
+        assert len(calls) == out.iterations
 
 
 class TestAffinity:

@@ -260,6 +260,16 @@ class TestSweep:
         assert lines[0] == "eta,s,tau,trials,loss_mean,loss_std,loss_mean_per_traj"
         assert len(lines) == 1 + len(result.rows)
 
+    def test_draw_free_cells_scored_once(self, scene, monkeypatch):
+        # test_sweep_matches_full_frame_oracle checks their values per trial
+        calls = []
+        score = F._LOSS_FNS["tail"]
+        monkeypatch.setitem(F._LOSS_FNS, "tail",
+                            lambda a, p, r: calls.append(a) or score(a, p, r))
+        F.sweep(scene, etas=(0.0, 0.5), ss=(0, 1), taus=(1.0, 4.0), trials=3, seed=2)
+        # the two (eta 0, s 0) cells once each, the other six cells per trial
+        assert len(calls) == 2 + 6 * 3
+
     def test_deterministic(self, scene):
         a = F.sweep(scene, etas=(0.5,), ss=(1,), taus=(2.0,), trials=4, seed=11)
         b = F.sweep(scene, etas=(0.5,), ss=(1,), taus=(2.0,), trials=4, seed=11)
