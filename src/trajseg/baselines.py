@@ -237,7 +237,8 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000):
     falls below ``LRR_TOL``, or after ``max_iter`` iterations; aborts if
     the residual keeps growing for 500 consecutive iterations.  ``rho``
     must be at least 1, since a penalty that shrinks lets the constraint
-    residual grow without bound.
+    residual grow without bound; ``lam`` must be positive and ``max_iter``
+    at least 1.
 
     The iterates are carried in the row space of D (Liu et al., "Robust
     recovery of subspace structures by low-rank representation", TPAMI
@@ -262,6 +263,10 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000):
     """
     if not rho >= 1:
         raise InvalidInputError(f"rho must be at least 1, got {rho}")
+    if not lam > 0:
+        raise InvalidInputError(f"lam must be positive, got {lam}")
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be at least 1, got {max_iter}")
     data = nk.as_matrix(data, "data")
     n = data.shape[1]
     if n < 2:
@@ -279,7 +284,6 @@ def lrr(data, lam=0.2, rho=1.01, max_iter=10_000):
     growth_streak = 0
     history = []
     iterations = max_iter
-    primal = np.inf
     converged = False
     for it in range(max_iter):
         z_aux = _svt(z + w / mu, 1.0 / mu)

@@ -324,6 +324,10 @@ SWEEP_KEYS = {"etas", "ss", "taus", "trials", "loss", "r", "assertions"}
 def cmd_sweep(args) -> int:
     config = _load_config(args.config, {"assertions": feasibility.ASSERTIONS}, SWEEP_KEYS)
     assertions = config.pop("assertions")
+    # every assertion but under_over_asymmetry reads the uncorrupted cells
+    needs_truth = sorted(set(assertions) - {"under_over_asymmetry"})
+    if needs_truth and 0 not in config.get("ss", [0]):
+        raise ConfigError(f"assertion {needs_truth[0]!r} needs s = 0 in the ss axis")
     scene = load_scene(args.scene)
     result = feasibility.sweep(scene, seed=args.seed, **config)
     out = Path(args.out)
@@ -383,6 +387,12 @@ def cmd_gradcheck(args) -> int:
     k = config["segments"]
     h, w = config["grid"]
     step = config["step"]
+    for name, size in (("frames", frames), ("tracks", n), ("segments", k),
+                       ("grid height", h), ("grid width", w)):
+        if size < 1:
+            raise ConfigError(f"gradcheck {name} must be at least 1, got {size}")
+    if step <= 0:
+        raise ConfigError(f"gradcheck step must be positive, got {step}")
     report = {}
     for name in ("tail", "flow"):
         max_err = 0.0
@@ -400,13 +410,9 @@ def cmd_gradcheck(args) -> int:
                     tracks = rng.standard_normal((2 * frames, n))
                 logits = rng.standard_normal((n, k)) * 0.5
                 weights = losses.softmax(logits)
-                degenerate = False
-                for col in range(k):
-                    sigma = np.linalg.svd(tracks * weights[:, col], compute_uv=False)
-                    gaps = np.diff(sigma[: losses.DEFAULT_RANK + 1])
-                    if np.any(np.abs(gaps) < 1e-3 * max(sigma[0], 1e-30)):
-                        degenerate = True
-                if degenerate:
+                sigma = np.linalg.svd(losses._masked_stack(weights, tracks), compute_uv=False)
+                gaps = np.diff(sigma[:, : losses.DEFAULT_RANK + 1], axis=1)
+                if np.any(np.abs(gaps) < 1e-3 * np.maximum(sigma[:, :1], 1e-30)):
                     skipped += 1
                     print(f"gradcheck tail instance {i}: skipped (near-equal singular values)")
                     continue

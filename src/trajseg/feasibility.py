@@ -231,17 +231,22 @@ def sweep(
     A cell with eta 0 and s 0 draws nothing, so every trial of it would
     score the same assignment: it is scored once and the value repeated.
     Splits beyond the available object count are clipped out of the
-    ``ss`` axis.  ``trials`` must be at least 1, and ``r`` must leave the
-    loss a singular value to score (``losses.check_rank``).
+    ``ss`` axis.  Every axis must keep at least one value, ``trials`` must
+    be at least 1, and ``r`` must leave the loss a singular value to score
+    (``losses.check_rank``).
     """
     if trials < 1:
         raise InvalidInputError(f"trials must be at least 1, got {trials}")
+    if len(etas) == 0 or len(taus) == 0:
+        raise InvalidInputError("etas and taus must each hold at least one value")
     if loss not in _LOSS_FNS:
         raise InvalidInputError(f"loss must be one of {sorted(_LOSS_FNS)}")
     L.check_rank(loss, r, scene.tracks.positions.shape)
     loss_fn = _LOSS_FNS[loss]
     n_objects = int(scene.masks.max())
     ss = [s for s in ss if abs(int(s)) <= n_objects]
+    if not ss:
+        raise InvalidInputError(f"no s in the ss axis fits the scene's {n_objects} objects")
     base_classes = n_objects + 1
     num_classes = base_classes + max([s for s in ss if s > 0], default=0)
     tracks = scene.tracks.positions

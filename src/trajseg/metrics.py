@@ -6,14 +6,11 @@ variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedMetricError
 
 __all__ = [
-    "ContingencyTable",
     "ari",
     "fg_ari",
     "metric_report",
@@ -27,42 +24,6 @@ def _as_labels(x, name):
     return x
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Cross-tabulation of two labelings.
-
-    counts[i, j] is the number of elements in predicted cluster i and true
-    cluster j; ``row_marginals`` / ``col_marginals`` are the cluster sizes
-    and ``n`` the total element count.
-    """
-
-    counts: np.ndarray
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
-    n: int
-
-    @classmethod
-    def from_labels(cls, pred, truth) -> "ContingencyTable":
-        pred = _as_labels(pred, "pred")
-        truth = _as_labels(truth, "truth")
-        if pred.shape != truth.shape:
-            raise InvalidInputError(
-                f"label lengths differ: {pred.shape[0]} vs {truth.shape[0]}"
-            )
-        _, pi = np.unique(pred, return_inverse=True)
-        _, ti = np.unique(truth, return_inverse=True)
-        kp = pi.max() + 1
-        kt = ti.max() + 1
-        counts = np.zeros((kp, kt), dtype=np.int64)
-        np.add.at(counts, (pi, ti), 1)
-        return cls(
-            counts=counts,
-            row_marginals=counts.sum(axis=1),
-            col_marginals=counts.sum(axis=0),
-            n=int(pred.size),
-        )
-
-
 def _pairs(x):
     x = np.asarray(x, dtype=np.int64)
     return (x * (x - 1) // 2).sum()
@@ -73,15 +34,25 @@ def ari(pred, truth) -> float:
 
     1 means the clusterings agree up to a relabeling; 0 is the chance
     level.  When the chance-adjusted denominator is zero (for example a
-    single cluster on both sides) the result is defined as 0.
+    single cluster on both sides) the result is defined as 0.  It is
+    computed from the contingency table of the two labelings: counts[i, j]
+    elements lie in predicted cluster i and true cluster j.
     """
-    table = ContingencyTable.from_labels(pred, truth)
-    if table.n < 2:
+    pred = _as_labels(pred, "pred")
+    truth = _as_labels(truth, "truth")
+    if pred.shape != truth.shape:
+        raise InvalidInputError(f"label lengths differ: {pred.shape[0]} vs {truth.shape[0]}")
+    n = int(pred.size)
+    if n < 2:
         raise InvalidInputError("need at least 2 elements")
-    index = _pairs(table.counts)
-    sum_a = _pairs(table.row_marginals)
-    sum_b = _pairs(table.col_marginals)
-    total = table.n * (table.n - 1) // 2
+    _, pi = np.unique(pred, return_inverse=True)
+    _, ti = np.unique(truth, return_inverse=True)
+    counts = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
+    np.add.at(counts, (pi, ti), 1)
+    index = _pairs(counts)
+    sum_a = _pairs(counts.sum(axis=1))
+    sum_b = _pairs(counts.sum(axis=0))
+    total = n * (n - 1) // 2
     expected = sum_a * sum_b / total
     maximum = 0.5 * (sum_a + sum_b)
     denom = maximum - expected

@@ -25,7 +25,7 @@ Gaussian pixel noise is added before normalisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -94,19 +94,7 @@ class SceneConfig:
             raise InvalidInputError("bg_balance must be positive or None")
 
     def to_json(self):
-        return {
-            "mode": self.mode,
-            "num_objects": self.num_objects,
-            "frames": self.frames,
-            "grid": list(self.grid),
-            "points_per_object": self.points_per_object,
-            "motion_seed": self.motion_seed,
-            "noise_sigma": self.noise_sigma,
-            "camera_motion": self.camera_motion,
-            "depth_motion": self.depth_motion,
-            "stride": self.stride,
-            "bg_balance": self.bg_balance,
-        }
+        return dict(asdict(self), grid=list(self.grid))
 
 
 @dataclass(frozen=True)
@@ -241,7 +229,8 @@ def _convex_sdf(points, verts):
 
 
 def _random_convex_polygon(rng, radius):
-    """Convex polygon around the origin with vertices near ``radius``."""
+    """Convex polygon around the origin with vertices near ``radius`` and
+    an area of at least 1 px^2."""
     n = int(rng.integers(5, 9))
     angles = np.sort(rng.uniform(0, 2 * np.pi, n))
     radii = rng.uniform(0.75, 1.0, n) * radius
@@ -249,6 +238,8 @@ def _random_convex_polygon(rng, radius):
     hull = _convex_hull(pts)
     if hull.shape[0] < 3:
         raise _RetryScene("degenerate polygon (collinear vertices)")
+    if _polygon_area(hull) < 1.0:
+        raise _RetryScene("degenerate polygon (area < 1 px^2)")
     return hull
 
 
@@ -344,43 +335,51 @@ def _camera_params(rng, cfg):
     (so the background is a moving component in its own right, not a
     near-static one) and translates slowly.  Rolling preserves distances
     from the frame center, which keeps it border-safe by construction.
+    Returns the roll angles, the per-frame translation, the scale
+    amplitude and the translation's drift over the sequence in pixels.
     """
     amp = cfg.camera_motion
     rate = amp * rng.choice([-1.0, 1.0]) * rng.uniform(0.08, 0.14)
     angles = _motion_profile(rng, rate, cfg.frames)
     vel = rng.uniform(-0.1, 0.1, 2) * amp
     scale_amp = amp * rng.uniform(0.0, 0.002)
-    return angles, vel, scale_amp
+    return angles, vel, scale_amp, float(np.linalg.norm(vel) * (cfg.frames - 1))
 
 
-def _camera_2d(rng, cfg):
-    """Per-frame global affine maps (background motion) for planar2d."""
+def _background_square(cfg, trans_drift):
+    """Background outline centered on the origin: rotating it about its
+    own center keeps the frame covered for any roll angle."""
     h, w = cfg.grid
-    angles, vel, scale_amp = _camera_params(rng, cfg)
-    pivot = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
-    maps = np.empty((cfg.frames, 2, 3))
-    for t in range(cfg.frames):
-        s = 1.0 + scale_amp * np.sin(0.7 * t)
-        rot = _rot2(angles[t]) * s
-        offset = pivot - rot @ pivot + vel * t
-        maps[t] = np.column_stack([rot, offset])
-    return maps, float(np.linalg.norm(vel) * (cfg.frames - 1))
+    half = 0.5 * np.hypot(w - 1, h - 1) + trans_drift + 8.0
+    return np.array([[-half, -half], [half, -half], [half, half], [-half, half]])
 
 
-def _place_objects(rng, cfg, reach_pair, trans_border):
-    """Object centers and radius on a jittered grid.
+def _drift(rng, reach, frames):
+    """An object's own per-frame translation: a random direction at a
+    speed capped so that it travels at most 0.85 ``reach``."""
+    direction = rng.uniform(0, 2 * np.pi)
+    speed = min(rng.uniform(0.3, 0.9), 0.85 * reach / max(frames - 1, 1))
+    return speed * np.array([np.cos(direction), np.sin(direction)])
 
-    ``reach_pair`` is the worst-case relative travel between two objects
-    (their own motion; the shared camera motion cancels pairwise) and
-    ``trans_border`` the translational travel toward the frame border
-    (own motion plus camera translation drift; camera roll is handled by
-    keeping every center inside the inscribed circle, where rotation
-    cannot push it out).  The radius is scanned downward until a gx-by-gy
-    cell layout separates the swept bounding circles within both the
-    rectangle margins and the roll-safe circle.
+
+def _place_objects(rng, cfg, trans_drift):
+    """Object centers, radius and own-motion reach, on a jittered grid.
+
+    Each object's own motion travels at most ``reach`` = min(1.5, 0.03 *
+    size) pixels.  Two objects' relative travel is bounded by reach + 1
+    (the shared camera motion cancels pairwise), and travel toward the
+    frame border by reach + ``trans_drift`` + 1, the camera's translation
+    drift included (camera roll is handled by keeping every center inside
+    the inscribed circle, where rotation cannot push it out).  The radius
+    is scanned downward until a gx-by-gy cell layout separates the swept
+    bounding circles within both the rectangle margins and the roll-safe
+    circle.
     """
     h, w = cfg.grid
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    reach = min(1.5, 0.03 * min(h, w))
+    reach_pair = reach + 1.0
+    trans_border = reach + trans_drift + 1.0
     k = cfg.num_objects
     gx = int(np.ceil(np.sqrt(k)))
     gy = int(np.ceil(k / gx))
@@ -414,37 +413,30 @@ def _place_objects(rng, cfg, reach_pair, trans_border):
     cap = min(cx, cy) - radius - trans_border - 2.0
     if cap <= 0 or np.any(np.hypot(centers[:, 0] - cx, centers[:, 1] - cy) > cap):
         raise _RetryScene("object orbit leaves the frame")
-    return centers, radius
+    return centers, radius, reach
 
 
 def _build_planar2d(rng, cfg):
+    """Objects under their own 2-d affine motion, composed with a global
+    affine camera that rolls about the frame center (the background's
+    maps)."""
     h, w = cfg.grid
     frames = cfg.frames
-    size = min(h, w)
-    cam, trans_drift = _camera_2d(rng, cfg)
-    obj_reach = min(1.5, 0.03 * size)
-    centers, radius = _place_objects(
-        rng, cfg, obj_reach + 1.0, obj_reach + trans_drift + 1.0
-    )
-
-    # background square centered on the roll pivot: rotating it about its
-    # own center keeps the frame covered for any roll angle
-    half = 0.5 * np.hypot(w - 1, h - 1) + trans_drift + 8.0
+    angles, cam_vel, cam_scale, trans_drift = _camera_params(rng, cfg)
     pivot = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
-    bg_poly = pivot + np.array(
-        [[-half, -half], [half, -half], [half, half], [-half, half]]
-    )
-    components = [ObjectGeometry(label=0, polygon=bg_poly, maps=cam.copy())]
+    cam = np.empty((frames, 2, 3))
+    for t in range(frames):
+        rot = _rot2(angles[t]) * (1.0 + cam_scale * np.sin(0.7 * t))
+        cam[t] = np.column_stack([rot, pivot - rot @ pivot + cam_vel * t])
+    centers, radius, reach = _place_objects(rng, cfg, trans_drift)
+    bg_poly = pivot + _background_square(cfg, trans_drift)
+    components = [ObjectGeometry(label=0, polygon=bg_poly, maps=cam)]
 
     spin_rates = _spin_rates(rng, cfg.num_objects)
     for k in range(cfg.num_objects):
         poly = _random_convex_polygon(rng, radius)
-        if _polygon_area(poly) < 1.0:
-            raise _RetryScene("degenerate polygon (area < 1 px^2)")
         spin = _motion_profile(rng, spin_rates[k], frames)
-        direction = rng.uniform(0, 2 * np.pi)
-        speed = min(rng.uniform(0.3, 0.9), 0.85 * obj_reach / max(frames - 1, 1))
-        vel = speed * np.array([np.cos(direction), np.sin(direction)])
+        vel = _drift(rng, reach, frames)
         scale_amp = rng.uniform(0.0, 0.02)
         maps = np.empty((frames, 2, 3))
         for t in range(frames):
@@ -459,24 +451,19 @@ def _build_planar2d(rng, cfg):
 def _build_rigid3d(rng, cfg, perspective):
     h, w = cfg.grid
     frames = cfg.frames
-    size = min(h, w)
     focal = 1.2 * max(h, w)
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     kmat = np.array([[focal, 0, cx], [0, focal, cy], [0, 0, 1.0]])
 
-    cam_angles, cam_vel, _ = _camera_params(rng, cfg)
+    cam_angles, cam_vel, _, trans_drift = _camera_params(rng, cfg)
     # the roll axis passes through the frame center: the principal point
     # for the pinhole, the pixel-aligned frame center for the orthographic
     # world
     cam_pivot = np.array([0.0, 0.0, 0.0]) if perspective else np.array([cx, cy, 0.0])
 
-    obj_reach = min(1.5, 0.03 * size)
-    trans_drift = float(
-        np.linalg.norm(cam_vel) * (frames - 1) * (1.0 if not perspective else 1.0 / 1.6)
-    )
-    centers_px, radius_px = _place_objects(
-        rng, cfg, obj_reach + 1.0, obj_reach + trans_drift + 1.0
-    )
+    if perspective:
+        trans_drift *= 1.0 / 1.6
+    centers_px, radius_px, reach = _place_objects(rng, cfg, trans_drift)
 
     def world_to_cam(t):
         rot = _rot3([0.0, 0.0, 1.0], cam_angles[t])
@@ -508,15 +495,7 @@ def _build_rigid3d(rng, cfg, perspective):
         bg_u = np.array([1.0, 0.0, 0.0])
         bg_v = np.array([0.0, 1.0, 0.0])
         bg_c = np.array([cx, cy, z_bg])
-    bg_half = 0.5 * np.hypot(w - 1, h - 1) + trans_drift + 8.0
-    bg_poly = np.array(
-        [
-            [-bg_half, -bg_half],
-            [bg_half, -bg_half],
-            [bg_half, bg_half],
-            [-bg_half, bg_half],
-        ]
-    )
+    bg_poly = _background_square(cfg, trans_drift)
 
     def patch_chain(plane, rot_series, disp_series):
         """Per-frame patch->camera maps (3x3)."""
@@ -562,9 +541,6 @@ def _build_rigid3d(rng, cfg, perspective):
         u = tilt @ np.array([1.0, 0.0, 0.0]) * world_per_px
         v = tilt @ np.array([0.0, 1.0, 0.0]) * world_per_px
         poly = _random_convex_polygon(rng, radius_px)
-        if _polygon_area(poly) < 1.0:
-            raise _RetryScene("degenerate polygon (area < 1 px^2)")
-
         spin = _motion_profile(rng, spin_rates[k], frames)
         axis = np.array([0.0, 0.0, 1.0])
         rots = []
@@ -574,9 +550,7 @@ def _build_rigid3d(rng, cfg, perspective):
                 tilt_angle = cfg.depth_motion * 0.03 * np.sin(0.9 * t + k)
                 rot = _rot3(tilt_axis, tilt_angle) @ rot
             rots.append(rot)
-        direction = rng.uniform(0, 2 * np.pi)
-        speed = min(rng.uniform(0.3, 0.9), 0.85 * obj_reach / max(frames - 1, 1))
-        vel_px = speed * np.array([np.cos(direction), np.sin(direction)])
+        vel_px = _drift(rng, reach, frames)
         disp = np.zeros((frames, 3))
         disp[:, 0] = vel_px[0] * np.arange(frames) * world_per_px
         disp[:, 1] = vel_px[1] * np.arange(frames) * world_per_px
@@ -608,15 +582,14 @@ def _projected_polygon(comp, t):
     return _convex_hull(verts)
 
 
-def _validate_layout(components, cfg):
+def _validate_layout(components, outlines, cfg):
     h, w = cfg.grid
-    frames = cfg.frames
     corners = np.array(
         [[0.0, 0.0], [w - 1.0, 0.0], [w - 1.0, h - 1.0], [0.0, h - 1.0]]
     )
     origin = np.zeros((1, 2))
-    for t in range(frames):
-        polys = [_projected_polygon(c, t) for c in components]
+    for t in range(cfg.frames):
+        polys = [outline[t] for outline in outlines]
         # background must cover the frame everywhere
         if _convex_sdf(corners, polys[0]).max() > -2.0:
             raise _RetryScene("background does not cover the frame")
@@ -642,13 +615,12 @@ def _validate_layout(components, cfg):
                     raise _RetryScene("objects overlap")
 
 
-def _rasterize_masks(components, cfg):
+def _rasterize_masks(components, outlines, cfg):
     h, w = cfg.grid
     masks = np.zeros((cfg.frames, h, w), dtype=np.int16)
     for t in range(cfg.frames):
-        for comp in components[1:]:
-            poly = _projected_polygon(comp, t)
-            masks[t][_rasterize_convex(poly, h, w)] = comp.label
+        for comp, outline in zip(components[1:], outlines[1:]):
+            masks[t][_rasterize_convex(outline[t], h, w)] = comp.label
     return masks
 
 
@@ -668,7 +640,7 @@ def _compute_flows(components, masks, cfg):
     return flows
 
 
-def _sample_tracks(components, masks, cfg, rng, allow_empty=False):
+def _sample_tracks(components, outlines, masks, cfg, rng, allow_empty=False):
     h, w = cfg.grid
     frames = cfg.frames
     if cfg.stride is not None:
@@ -682,12 +654,7 @@ def _sample_tracks(components, masks, cfg, rng, allow_empty=False):
     owner = masks[0][ys.ravel(), xs.ravel()]
 
     arrays = {"pos": [], "vis": [], "lab": []}
-    object_polys = {
-        comp.label: [_projected_polygon(comp, t) for t in range(frames)]
-        for comp in components[1:]
-    }
-
-    for comp in components:
+    for comp, outline in zip(components, outlines):
         sel = owner == comp.label
         if not np.any(sel):
             continue
@@ -695,37 +662,28 @@ def _sample_tracks(components, masks, cfg, rng, allow_empty=False):
         traj = np.stack(
             [_apply_map(comp.maps[t], patch) for t in range(frames)]
         )  # (T, n, 2)
+        visible = (
+            (traj[:, :, 0] >= 0)
+            & (traj[:, :, 0] <= w - 1)
+            & (traj[:, :, 1] >= 0)
+            & (traj[:, :, 1] <= h - 1)
+        )
         if comp.label != 0:
             # keep only points that stay clear of their polygon's border so
             # nearest-pixel lookups always land on the object's own mask
-            sdf = np.stack(
-                [_convex_sdf(traj[t], object_polys[comp.label][t]) for t in range(frames)]
-            )
+            sdf = np.stack([_convex_sdf(traj[t], outline[t]) for t in range(frames)])
             keep = (sdf <= -_EDGE_MARGIN).all(axis=0)
-            patch, traj = patch[keep], traj[:, keep]
-            if patch.shape[0] == 0:
+            traj, visible = traj[:, keep], visible[:, keep]
+            if not keep.any():
                 continue
-            visible = (
-                (traj[:, :, 0] >= 0)
-                & (traj[:, :, 0] <= w - 1)
-                & (traj[:, :, 1] >= 0)
-                & (traj[:, :, 1] <= h - 1)
-            )
         else:
-            in_frame = (
-                (traj[:, :, 0] >= 0)
-                & (traj[:, :, 0] <= w - 1)
-                & (traj[:, :, 1] >= 0)
-                & (traj[:, :, 1] <= h - 1)
-            )
-            clear = np.ones(in_frame.shape, dtype=bool)
-            for polys in object_polys.values():
+            # a background point is hidden while it is near any object
+            for other in outlines[1:]:
                 for t in range(frames):
-                    clear[t] &= _convex_sdf(traj[t], polys[t]) > _EDGE_MARGIN
-            visible = in_frame & clear
+                    visible[t] &= _convex_sdf(traj[t], other[t]) > _EDGE_MARGIN
         arrays["pos"].append(traj)
         arrays["vis"].append(visible)
-        arrays["lab"].append(np.full(patch.shape[0], comp.label))
+        arrays["lab"].append(np.full(traj.shape[1], comp.label))
 
     if not arrays["pos"]:
         raise _RetryScene("no trajectories sampled")
@@ -780,13 +738,18 @@ def make_scene(cfg: SceneConfig) -> SceneTruth:
                 components = _build_rigid3d(
                     rng, cfg, perspective=cfg.mode == "rigid3d_perspective"
                 )
-            _validate_layout(components, cfg)
-            masks = _rasterize_masks(components, cfg)
+            # every component's image outline, per frame
+            outlines = [
+                [_projected_polygon(comp, t) for t in range(cfg.frames)] for comp in components
+            ]
+            _validate_layout(components, outlines, cfg)
+            masks = _rasterize_masks(components, outlines, cfg)
             flows = _compute_flows(components, masks, cfg)
             # the last attempts tolerate starved components so that very
             # small frames still produce a usable scene
             tracks, stride = _sample_tracks(
-                components, masks, cfg, rng, allow_empty=attempt >= _MAX_ATTEMPTS - 2
+                components, outlines, masks, cfg, rng,
+                allow_empty=attempt >= _MAX_ATTEMPTS - 2,
             )
             metadata = {
                 "regenerated": attempt,

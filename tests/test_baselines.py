@@ -183,6 +183,17 @@ class TestLrr:
         with pytest.raises(InvalidInputError, match="rho"):
             B.lrr(rng.standard_normal((10, 8)), rho=rho)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"lam": 0.0}, "lam"),
+        ({"lam": -1.0}, "lam"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": -3}, "max_iter"),
+    ])
+    def test_out_of_range_parameters_rejected(self, kwargs, match):
+        rng = np.random.default_rng(6)
+        with pytest.raises(InvalidInputError, match=match):
+            B.lrr(rng.standard_normal((10, 8)), **kwargs)
+
 
 SVT_MATRICES = {
     "random": lambda rng: rng.standard_normal((32, 200)),

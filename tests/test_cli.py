@@ -249,6 +249,10 @@ class TestSegment:
         pytest.param("lrtl", {"step_size": 0}, id="lrtl-step-size-zero"),
         pytest.param("lrtl", {"step_size": -0.05}, id="lrtl-step-size-negative"),
         pytest.param("lrr", {"rho": 0.5, "max_iter": 300}, id="lrr-rho-below-one"),
+        # the ERROR_CASES harness runs segment with kmeans, which never calls lrr
+        pytest.param("lrr", {"lam": 0}, id="lrr-lam-zero"),
+        pytest.param("lrr", {"lam": -1}, id="lrr-lam-negative"),
+        pytest.param("lrr", {"max_iter": 0}, id="lrr-max-iter-zero"),
         # the scene's track matrix has 2T = 16 rows
         pytest.param("lrtl", {"r": 17}, id="lrtl-tail-r-beyond-matrix"),
         pytest.param("lrtl", {"r": 16, "loss": "reconstruction"},
@@ -413,6 +417,41 @@ class TestSweep:
         assert "min_at_trut" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        pytest.param({"etas": []}, id="empty-etas"),
+        pytest.param({"taus": []}, id="empty-taus"),
+        # the scene has 2 objects, so clipping empties the ss axis
+        pytest.param({"ss": [7]}, id="ss-clipped-empty"),
+        pytest.param({"ss": [7, -3], "assertions": ["under_over_asymmetry"]},
+                     id="ss-clipped-empty-no-truth-assertion"),
+        pytest.param({"ss": [-1, 1]}, id="ss-without-zero"),
+        pytest.param({"ss": [-1, 1], "assertions": ["min_at_truth"]},
+                     id="ss-without-zero-min-at-truth"),
+    ])
+    def test_grid_it_cannot_score_rejected_before_the_sweep(self, scene_dir, tmp_path, capsys,
+                                                            monkeypatch, config):
+        calls = []
+        monkeypatch.setattr("trajseg.feasibility.apply_corruption",
+                            lambda *a: calls.append(a))
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--scene", str(scene_dir), "--config", str(cfg),
+                   "--out", str(out), "--seed", "3"])
+        assert rc == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert calls == []
+        assert not out.exists()
+
+    def test_ss_without_zero_runs_when_no_assertion_reads_it(self, scene_dir, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"trials": 2, "etas": [0.0], "ss": [-1, 1], "taus": [1.0],
+                                   "assertions": ["under_over_asymmetry"]}))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--scene", str(scene_dir), "--config", str(cfg),
+                     "--out", str(out), "--seed", "3"]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 2
+
     def test_unwritable_output_is_io_error(self, scene_dir, tmp_path, capsys):
         target = tmp_path / "blocked"
         target.write_text("file, not a directory")
@@ -430,6 +469,38 @@ class TestGradcheck:
         report = json.loads((out / "gradcheck.json").read_text())
         assert report["tail"]["max_rel_err"] < 1e-4
         assert report["flow"]["max_rel_err"] < 1e-4
+
+    @pytest.mark.parametrize("config", [
+        pytest.param({"step": 0}, id="step-zero"),
+        pytest.param({"step": -1e-5}, id="step-negative"),
+        pytest.param({"segments": 0}, id="segments-zero"),
+        pytest.param({"frames": 0}, id="frames-zero"),
+        pytest.param({"tracks": 0}, id="tracks-zero"),
+        pytest.param({"grid": [0, 5]}, id="grid-zero"),
+    ])
+    def test_bad_size_rejected_before_any_instance(self, tmp_path, capsys, config):
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "gc"
+        rc = main(["gradcheck", "--config", str(cfg), "--out", str(out), "--seed", "0"])
+        assert rc == 3
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert len(printed.err.strip().splitlines()) == 1
+        assert next(iter(config)) in printed.err
+        assert not out.exists()
+
+    def test_degeneracy_probe_sees_each_column_bits(self):
+        # the probe takes one batched SVD of the masked stack; the loop over
+        # columns that it replaced is the reference
+        rng = np.random.default_rng(3)
+        for frames, n, k in ((6, 25, 3), (1, 4, 1), (8, 40, 6)):
+            tracks = rng.standard_normal((2 * frames, n))
+            weights = losses.softmax(rng.standard_normal((n, k)) * 0.5)
+            batch = np.linalg.svd(losses._masked_stack(weights, tracks), compute_uv=False)
+            for col in range(k):
+                assert np.array_equal(
+                    batch[col], np.linalg.svd(tracks * weights[:, col], compute_uv=False))
 
     def test_identical_report_bytes(self, tmp_path):
         cfg = tmp_path / "g.json"
@@ -489,6 +560,13 @@ ERROR_CASES = [
     pytest.param("segment", {"loss": "bogus"}, 3, id="segment-loss-unknown"),
     pytest.param("synth", {"mode": "cube"}, 3, id="synth-mode-unknown"),
     pytest.param("gradcheck", {"step": True}, 3, id="gradcheck-step-bool"),
+    pytest.param("sweep", {"etas": []}, 3, id="sweep-etas-empty"),
+    pytest.param("sweep", {"taus": []}, 3, id="sweep-taus-empty"),
+    pytest.param("sweep", {"ss": [7]}, 3, id="sweep-ss-clipped-empty"),
+    pytest.param("sweep", {"ss": [-1, 1]}, 3, id="sweep-ss-without-zero"),
+    pytest.param("gradcheck", {"step": 0}, 3, id="gradcheck-step-zero"),
+    pytest.param("gradcheck", {"segments": 0}, 3, id="gradcheck-segments-zero"),
+    pytest.param("gradcheck", {"frames": 0}, 3, id="gradcheck-frames-zero"),
 ]
 
 

@@ -275,6 +275,20 @@ class TestSweep:
         b = F.sweep(scene, etas=(0.5,), ss=(1,), taus=(2.0,), trials=4, seed=11)
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("grid,match", [
+        ({"etas": ()}, "etas and taus"),
+        ({"taus": []}, "etas and taus"),
+        # the scene has 4 objects, so clipping leaves no s
+        ({"ss": (5, -6)}, "no s in the ss axis"),
+        ({"ss": ()}, "no s in the ss axis"),
+    ])
+    def test_grid_without_cells_rejected(self, scene, monkeypatch, grid, match):
+        calls = []
+        monkeypatch.setitem(F._LOSS_FNS, "tail", lambda a, p, r: calls.append(a) or 0.0)
+        with pytest.raises(InvalidInputError, match=match):
+            F.sweep(scene, trials=2, **grid)
+        assert calls == []
+
 
 def test_sweep_matches_full_frame_oracle(scene):
     grid = dict(etas=(0.0, 0.5, 1.0), ss=(-4, -1, 0, 2, 4, 5), taus=(1e-3, 2.0))
