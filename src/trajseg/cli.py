@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, feasibility, losses, metrics
-from .errors import DivergenceError, TrajsegError
+from .errors import DivergenceError, RangeError, TrajsegError
 from .optimizer import LOSS_KINDS, OptimConfig, segment_tracks
 from .scene_io import atomic_write_text, load_scene, load_tracks, save_scene
 from .scene_synth import MODES, SceneConfig, make_scene, window
@@ -268,6 +268,8 @@ def _one_key_per_line(record) -> str:
 
 def cmd_segment(args) -> int:
     config = _load_config(args.config, SEGMENT_DEFAULTS)
+    if config["window_center"] is None and config["window_half_width"] is not None:
+        raise ConfigError("window_half_width needs window_center")
     scene_tracks = load_tracks(args.scene)
     if config["window_center"] is not None:
         half = 5 if config["window_half_width"] is None else config["window_half_width"]
@@ -393,6 +395,17 @@ def cmd_gradcheck(args) -> int:
             raise ConfigError(f"gradcheck {name} must be at least 1, got {size}")
     if step <= 0:
         raise ConfigError(f"gradcheck step must be positive, got {step}")
+    try:
+        losses.check_rank("tail", losses.DEFAULT_RANK, (2 * frames, n))
+    except RangeError as exc:
+        raise ConfigError(f"gradcheck frames={frames}, tracks={n}: {exc}") from exc
+    basis = losses.quad_embed(h, w)
+    basis_rank = np.linalg.matrix_rank(basis)
+    if h * w <= basis_rank:
+        raise ConfigError(
+            f"gradcheck grid {h}x{w} has {h * w} pixels, no more than the rank {basis_rank} "
+            "of its quadratic flow basis, so every segment's flow fit is exact"
+        )
     report = {}
     for name in ("tail", "flow"):
         max_err = 0.0
@@ -425,7 +438,6 @@ def cmd_gradcheck(args) -> int:
                     step,
                 )
             else:
-                basis = losses.quad_embed(h, w)
                 flow = basis @ (rng.standard_normal((6, 2)) * 0.05)
                 flow = flow + rng.standard_normal(flow.shape) * 0.01
                 logits = rng.standard_normal((h * w, k)) * 0.5

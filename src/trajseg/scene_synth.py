@@ -449,131 +449,96 @@ def _build_planar2d(rng, cfg):
 
 
 def _build_rigid3d(rng, cfg, perspective):
+    """Rigid planes in 3-d under a camera that rolls about the frame center
+    and drifts, viewed orthographically or through a pinhole.
+
+    The camera model is decided once, in one block of per-camera constants:
+    the roll pivot, the drift scale, the background's depth, the offset
+    that object centers are measured from, and the pinhole matrix.  The
+    orthographic world is laid out in pixel units, so it has no pinhole
+    matrix and its projection drops the depth row.  Every component's
+    per-frame maps come from one builder: a plane (u, v, centre) moved by
+    the component's rotations and displacements, then by the camera roll
+    and translation, then projected.  The background is a fronto-parallel
+    wall behind the objects, centered on the roll axis so any roll angle
+    keeps the frame covered: the same call with identity rotations and
+    zero displacement.  Patch units are pixel-equivalent (a plane's basis
+    absorbs its depth scaling).
+    """
     h, w = cfg.grid
     frames = cfg.frames
     focal = 1.2 * max(h, w)
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    kmat = np.array([[focal, 0, cx], [0, focal, cy], [0, 0, 1.0]])
-
     cam_angles, cam_vel, _, trans_drift = _camera_params(rng, cfg)
-    # the roll axis passes through the frame center: the principal point
-    # for the pinhole, the pixel-aligned frame center for the orthographic
-    # world
-    cam_pivot = np.array([0.0, 0.0, 0.0]) if perspective else np.array([cx, cy, 0.0])
-
+    # the roll axis passes through the frame center: the principal point for
+    # the pinhole, the pixel-aligned frame center for the orthographic world
     if perspective:
+        pivot, offset = np.zeros(3), np.array([cx, cy])
         trans_drift *= 1.0 / 1.6
-    centers_px, radius_px, reach = _place_objects(rng, cfg, trans_drift)
-
-    def world_to_cam(t):
-        rot = _rot3([0.0, 0.0, 1.0], cam_angles[t])
-        trans = cam_pivot - rot @ cam_pivot
-        trans = trans + np.array([cam_vel[0] * t, cam_vel[1] * t, 0.0])
-        return rot, trans
-
-    def project_map(ct):
-        """Patch->image map from patch->camera coordinates ct (3x3).
-
-        The orthographic world is laid out in pixel units, so projection
-        just drops the depth row; the pinhole applies the intrinsics.
-        """
-        if perspective:
-            return kmat @ ct
-        return ct[:2, :].copy()
-
-    components = []
-
-    # background: fronto-parallel wall behind the objects, centered on the
-    # roll axis so any roll angle keeps the frame covered.  Patch units
-    # are pixel-equivalent (the plane basis absorbs the depth scaling).
-    z_bg = 4.0 * focal if perspective else 400.0
-    if perspective:
-        bg_u = np.array([1.0, 0.0, 0.0]) * z_bg / focal
-        bg_v = np.array([0.0, 1.0, 0.0]) * z_bg / focal
-        bg_c = np.array([0.0, 0.0, z_bg])
+        z_bg, z_range, z_unit, z_motion = 4.0 * focal, (1.6, 2.4), focal, cfg.depth_motion
+        kmat = np.array([[focal, 0, cx], [0, focal, cy], [0, 0, 1.0]])
     else:
-        bg_u = np.array([1.0, 0.0, 0.0])
-        bg_v = np.array([0.0, 1.0, 0.0])
-        bg_c = np.array([cx, cy, z_bg])
-    bg_poly = _background_square(cfg, trans_drift)
+        pivot, offset = np.array([cx, cy, 0.0]), np.zeros(2)
+        z_bg, z_range, z_unit, z_motion = 400.0, (120.0, 240.0), 1.0, 0.0
+        kmat = None
+    centers_px, radius_px, reach = _place_objects(rng, cfg, trans_drift)
+    cam = []
+    for t in range(frames):
+        rot = _rot3([0.0, 0.0, 1.0], cam_angles[t])
+        cam.append((rot, pivot - rot @ pivot + np.array([cam_vel[0] * t, cam_vel[1] * t, 0.0])))
 
-    def patch_chain(plane, rot_series, disp_series):
-        """Per-frame patch->camera maps (3x3)."""
-        u, v, c = plane[:, 0], plane[:, 1], plane[:, 2]
-        cams = np.empty((frames, 3, 3))
-        for t in range(frames):
-            rob = rot_series[t]
-            gt = np.column_stack([rob @ u, rob @ v, c + disp_series[t]])
-            rc, tc = world_to_cam(t)
-            ct = rc @ gt
+    def plane_at(center_px, z, tilt):
+        """The plane (u, v, centre) seen at pixel ``center_px`` at depth
+        ``z``, spanned by the first two axes of ``tilt``, and the world size
+        of one pixel there."""
+        world_per_px = z / focal if perspective else 1.0
+        u, v = (tilt @ axis * world_per_px for axis in np.eye(3)[:2])
+        c = np.array([*(center_px - offset) * world_per_px, z])
+        return np.column_stack([u, v, c]), world_per_px
+
+    def component(label, poly, plane, rots, disp):
+        """The component whose patch ``poly`` lies on ``plane``, moved per
+        frame by ``rots`` and ``disp``; the pinhole rejects it if a vertex
+        comes within one unit of the camera plane."""
+        maps = []
+        for t, (rc, tc) in enumerate(cam):
+            ct = rc @ np.column_stack([rots[t] @ plane[:, 0], rots[t] @ plane[:, 1],
+                                       plane[:, 2] + disp[t]])
             ct[:, 2] += tc
-            cams[t] = ct
-        return cams
+            maps.append(ct[:2] if kmat is None else kmat @ ct)
+        maps = np.stack(maps)
+        if kmat is not None:
+            poly_h = np.column_stack([poly, np.ones(len(poly))])
+            if np.einsum("vj,tj->tv", poly_h, maps[:, 2, :]).min() <= 1.0:
+                raise _RetryScene("object too close to the camera plane")
+        return ObjectGeometry(label=label, polygon=poly, maps=maps)
 
-    identity_rots = [np.eye(3)] * frames
-    zero_disp = np.zeros((frames, 3))
-    bg_cams = patch_chain(np.column_stack([bg_u, bg_v, bg_c]), identity_rots, zero_disp)
-    components.append(
-        ObjectGeometry(
-            label=0,
-            polygon=bg_poly,
-            maps=np.stack([project_map(c) for c in bg_cams]),
-        )
-    )
-
+    components = [
+        component(0, _background_square(cfg, trans_drift),
+                  plane_at(np.array([cx, cy]), z_bg, np.eye(3))[0],
+                  [np.eye(3)] * frames, np.zeros((frames, 3)))
+    ]
     spin_rates = _spin_rates(rng, cfg.num_objects)
     for k in range(cfg.num_objects):
-        z = rng.uniform(1.6, 2.4) * focal if perspective else rng.uniform(120.0, 240.0)
-        world_per_px = z / focal if perspective else 1.0
-        if perspective:
-            c3 = np.array(
-                [
-                    (centers_px[k, 0] - cx) * world_per_px,
-                    (centers_px[k, 1] - cy) * world_per_px,
-                    z,
-                ]
-            )
-        else:
-            c3 = np.array([centers_px[k, 0], centers_px[k, 1], z])
+        z = rng.uniform(*z_range) * z_unit
         tilt_dir = rng.uniform(0, 2 * np.pi)
         tilt_axis = np.array([np.cos(tilt_dir), np.sin(tilt_dir), 0.0])
         tilt = _rot3(tilt_axis, rng.uniform(0.15, 0.4))
-        u = tilt @ np.array([1.0, 0.0, 0.0]) * world_per_px
-        v = tilt @ np.array([0.0, 1.0, 0.0]) * world_per_px
+        obj_plane, world_per_px = plane_at(centers_px[k], z, tilt)
         poly = _random_convex_polygon(rng, radius_px)
         spin = _motion_profile(rng, spin_rates[k], frames)
-        axis = np.array([0.0, 0.0, 1.0])
         rots = []
         for t in range(frames):
-            rot = _rot3(axis, spin[t])
+            rot = _rot3([0.0, 0.0, 1.0], spin[t])
             if cfg.depth_motion > 0:
-                tilt_angle = cfg.depth_motion * 0.03 * np.sin(0.9 * t + k)
-                rot = _rot3(tilt_axis, tilt_angle) @ rot
+                rot = _rot3(tilt_axis, cfg.depth_motion * 0.03 * np.sin(0.9 * t + k)) @ rot
             rots.append(rot)
-        vel_px = _drift(rng, reach, frames)
         disp = np.zeros((frames, 3))
-        disp[:, 0] = vel_px[0] * np.arange(frames) * world_per_px
-        disp[:, 1] = vel_px[1] * np.arange(frames) * world_per_px
-        if cfg.depth_motion > 0 and perspective:
-            disp[:, 2] = (
-                cfg.depth_motion
-                * 0.01
-                * z
-                * np.sin(0.6 * np.arange(frames) + rng.uniform(0, 2 * np.pi))
-            )
-        cams = patch_chain(np.column_stack([u, v, c3]), rots, disp)
-        if perspective:
-            poly_h = np.column_stack([poly, np.ones(len(poly))])
-            depths = np.einsum("vj,tj->tv", poly_h, cams[:, 2, :])
-            if depths.min() <= 1.0:
-                raise _RetryScene("object too close to the camera plane")
-        components.append(
-            ObjectGeometry(
-                label=k + 1,
-                polygon=poly,
-                maps=np.stack([project_map(c) for c in cams]),
-            )
-        )
+        disp[:, :2] = np.outer(np.arange(frames), _drift(rng, reach, frames)) * world_per_px
+        if z_motion > 0:
+            phase = rng.uniform(0, 2 * np.pi)
+            disp[:, 2] = z_motion * 0.01 * z * np.sin(0.6 * np.arange(frames) + phase)
+        components.append(component(k + 1, poly, obj_plane, rots, disp))
     return components
 
 

@@ -168,6 +168,7 @@ def test_criterion_2_gradient_suite():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_comparison(noisy_suite, lrtl_tail_aris):
     """LRTL beats the best of kmeans/ssc/lrr by 0.05 and reaches 0.85."""
     start = time.time()
@@ -230,6 +231,7 @@ def test_criterion_4_landscape(tmp_path):
     report("4 landscape", ok, f"{detail}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_alternative_losses(noisy_suite, lrtl_tail_aris):
     """Tail-loss optimization matches or beats rank-5 reconstruction."""
     start = time.time()

@@ -55,6 +55,16 @@ class TestSynth:
         for path in (tmp_path / "a").iterdir():
             assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
+    def test_object_too_close_to_pinhole_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "rigid3d_perspective", "depth_motion": 100}))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s"), "--seed", "0"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "too close to the camera plane" in err
+        assert not (tmp_path / "s").exists()
+
     def test_rank_check_in_summary(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "rigid3d_affine", "num_objects": 2,
@@ -477,6 +487,11 @@ class TestGradcheck:
         pytest.param({"frames": 0}, id="frames-zero"),
         pytest.param({"tracks": 0}, id="tracks-zero"),
         pytest.param({"grid": [0, 5]}, id="grid-zero"),
+        # the tail loss and its gradient are identically zero below rank 5
+        pytest.param({"frames": 2}, id="frames-below-tail-rank"),
+        pytest.param({"tracks": 4}, id="tracks-below-tail-rank"),
+        # 4 pixels, and the quadratic flow basis has rank 4 there
+        pytest.param({"grid": [2, 2]}, id="grid-fit-exact"),
     ])
     def test_bad_size_rejected_before_any_instance(self, tmp_path, capsys, config):
         cfg = tmp_path / "g.json"
@@ -489,6 +504,15 @@ class TestGradcheck:
         assert len(printed.err.strip().splitlines()) == 1
         assert next(iter(config)) in printed.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [[1, 6], [2, 3], [3, 3]])
+    def test_small_grid_with_pixels_to_spare_passes(self, tmp_path, grid):
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"grid": grid, "instances": 3}))
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--config", str(cfg), "--out", str(out), "--seed", "0"]) == 0
+        report = json.loads((out / "gradcheck.json").read_text())
+        assert report["flow"]["checked"] == 3 and report["flow"]["max_rel_err"] < 1e-4
 
     def test_degeneracy_probe_sees_each_column_bits(self):
         # the probe takes one batched SVD of the masked stack; the loop over
@@ -567,6 +591,7 @@ ERROR_CASES = [
     pytest.param("gradcheck", {"step": 0}, 3, id="gradcheck-step-zero"),
     pytest.param("gradcheck", {"segments": 0}, 3, id="gradcheck-segments-zero"),
     pytest.param("gradcheck", {"frames": 0}, 3, id="gradcheck-frames-zero"),
+    pytest.param("segment", {"window_half_width": 2}, 3, id="segment-half-width-without-center"),
 ]
 
 

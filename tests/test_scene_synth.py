@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajseg.errors import InvalidInputError, RangeError
+from trajseg.errors import DegenerateInputError, InvalidInputError, RangeError
 from trajseg.scene_synth import (MODES, SceneConfig, _projected_polygon, _rasterize_convex,
                                   make_scene, window)
 
@@ -191,6 +191,13 @@ class TestRankStructure:
             return total
 
         assert homr(wavy) > 10 * homr(flat)
+
+    def test_pinhole_rejects_objects_too_close_to_the_camera(self):
+        # out-of-plane motion this large carries every attempt's objects
+        # through the camera plane
+        cfg = SceneConfig(mode="rigid3d_perspective", depth_motion=100)
+        with pytest.raises(DegenerateInputError, match="too close to the camera plane"):
+            make_scene(cfg)
 
 
 class TestFlow:
